@@ -16,7 +16,7 @@ and the shortcut projection, whose sum is rectified once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,29 +131,6 @@ def build_block(variant: str, in_channels: int, out_channels: int,
                      shortcut)
 
 
-def temporal_receptive_field(spec: BlockSpec, tap: int) -> int:
-    """Frames of input influencing one output element of branch ``tap``."""
-    _check_tap(spec, tap)
-    count = sum(1 for i in range(1, tap + 1)
-                if main_kind(spec.variant, i) == TEMPORAL)
-    count += 1 if branch_kind(spec.variant, tap) == TEMPORAL else 0
-    return 1 + 2 * count
-
-
-def spatial_receptive_field(spec: BlockSpec, tap: int) -> int:
-    """Pixels (per spatial axis) influencing one output element of branch ``tap``."""
-    _check_tap(spec, tap)
-    count = sum(1 for i in range(1, tap + 1)
-                if main_kind(spec.variant, i) == SPATIAL)
-    count += 1 if branch_kind(spec.variant, tap) == SPATIAL else 0
-    return 1 + 2 * count
-
-
-def _check_tap(spec: BlockSpec, tap: int) -> None:
-    if not 1 <= tap <= spec.branch_count:
-        raise BlockConfigError(f"tap {tap} out of range 1..{spec.branch_count}")
-
-
 @dataclass
 class RunState:
     """Optional side channels threaded through forward passes."""
@@ -162,36 +139,52 @@ class RunState:
     cache: dict | None = None       # layer id -> backward cache
     stats: dict | None = None       # updated batchnorm running stats
     counter: MacCounter | None = None
-    capture: dict | None = None     # probe taps (branch outputs, ...)
 
 
-def iter_block_units(spec: BlockSpec, prefix: str = ""):
-    """Yield ``(name, conv, batchnorm, rectified)`` in execution order."""
-    yield f"{prefix}reduce", spec.reduce, True, True
+INPUT = "input"  # plan source naming the block input
+
+
+def block_plan(spec: BlockSpec, prefix: str = "") -> list[tuple]:
+    """Conv units in execution order as ``(name, conv, act, source)``.
+
+    ``source`` is ``INPUT``, the name of an earlier unit, or a tuple of unit
+    names whose outputs are concatenated along channels in that order.  Every
+    unit is batch-normalized; ``act`` says whether a rectifier follows.  The
+    fusion output plus the shortcut (the block input, or ``proj`` when the
+    block has a projection) is rectified once.
+    """
+    plan = [(f"{prefix}reduce", spec.reduce, True, INPUT)]
     for i, conv in enumerate(spec.main_stage, start=1):
-        yield f"{prefix}main{i}", conv, True, True
-    for j, (_, conv) in enumerate(spec.branches, start=1):
-        yield f"{prefix}branch{j}", conv, True, True
-    yield f"{prefix}fuse", spec.fusion, True, False
+        plan.append((f"{prefix}main{i}", conv, True, plan[-1][0]))
+    branches = tuple(f"{prefix}branch{j}"
+                     for j in range(1, spec.branch_count + 1))
+    for name, (tap, conv) in zip(branches, spec.branches):
+        plan.append((name, conv, True, f"{prefix}main{tap}"))
+    plan.append((f"{prefix}fuse", spec.fusion, False, branches))
     if spec.shortcut is not None:
-        yield f"{prefix}proj", spec.shortcut, True, False
+        plan.append((f"{prefix}proj", spec.shortcut, False, INPUT))
+    return plan
 
 
-def unit_param_shapes(name: str, conv: ConvLayerSpec, bn: bool) -> dict[str, tuple]:
+def _shortcut_source(spec: BlockSpec, prefix: str = "") -> str:
+    """The plan value added to the fusion output before the final rectifier."""
+    return INPUT if spec.shortcut is None else f"{prefix}proj"
+
+
+def unit_param_shapes(name: str, conv: ConvLayerSpec) -> dict[str, tuple]:
     shapes = {f"{name}.w": conv.weight_shape}
     if conv.has_bias:
         shapes[f"{name}.b"] = (conv.out_channels,)
-    if bn:
-        c = (conv.out_channels,)
-        shapes.update({f"{name}.scale": c, f"{name}.shift": c,
-                       f"{name}.mean": c, f"{name}.var": c})
+    c = (conv.out_channels,)
+    shapes.update({f"{name}.scale": c, f"{name}.shift": c,
+                   f"{name}.mean": c, f"{name}.var": c})
     return shapes
 
 
 def block_param_shapes(spec: BlockSpec, prefix: str = "") -> dict[str, tuple]:
     shapes: dict[str, tuple] = {}
-    for name, conv, bn, _ in iter_block_units(spec, prefix):
-        shapes.update(unit_param_shapes(name, conv, bn))
+    for name, conv, _, _ in block_plan(spec, prefix):
+        shapes.update(unit_param_shapes(name, conv))
     return shapes
 
 
@@ -202,45 +195,43 @@ def _param(params, key):
         raise ParamLookupError(f"missing parameter entry {key!r}") from None
 
 
-def unit_forward(name: str, conv: ConvLayerSpec, bn: bool, act: bool,
-                 params, x, state: RunState):
+def unit_forward(name: str, conv: ConvLayerSpec, act: bool, params, x,
+                 state: RunState):
     w = _param(params, f"{name}.w")
     b = _param(params, f"{name}.b") if conv.has_bias else None
     y = conv3d_forward(x, conv, w, b, state.counter)
-    bn_cache = None
-    if bn:
-        y, new_mean, new_var, bn_cache = batchnorm_forward(
-            y, _param(params, f"{name}.scale"), _param(params, f"{name}.shift"),
-            _param(params, f"{name}.mean"), _param(params, f"{name}.var"),
-            state.mode)
-        if state.mode == "train" and state.stats is not None:
-            state.stats[f"{name}.mean"] = new_mean
-            state.stats[f"{name}.var"] = new_var
-    pre = y
-    if act:
-        y = relu_forward(pre)
+    y, new_mean, new_var, bn_cache = batchnorm_forward(
+        y, _param(params, f"{name}.scale"), _param(params, f"{name}.shift"),
+        _param(params, f"{name}.mean"), _param(params, f"{name}.var"),
+        state.mode)
+    if state.mode == "train" and state.stats is not None:
+        state.stats[f"{name}.mean"] = new_mean
+        state.stats[f"{name}.var"] = new_var
     if state.cache is not None:
-        state.cache[name] = (x, bn_cache, pre if act else None)
-    return y
+        state.cache[name] = (x, bn_cache, y if act else None)
+    return relu_forward(y) if act else y
 
 
-def unit_backward(name: str, conv: ConvLayerSpec, bn: bool, act: bool,
-                  params, cache, grad, grads_out: dict,
-                  need_input_grad: bool = True):
+def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
+                  grad, grads_out: dict, need_input_grad: bool = True):
     x, bn_cache, pre = cache[name]
     if act:
         grad = relu_backward(pre, grad)
-    if bn:
-        grad, gscale, gshift = batchnorm_backward(
-            bn_cache, _param(params, f"{name}.scale"), grad)
-        grads_out[f"{name}.scale"] = gscale
-        grads_out[f"{name}.shift"] = gshift
+    grad, gscale, gshift = batchnorm_backward(
+        bn_cache, _param(params, f"{name}.scale"), grad)
+    grads_out[f"{name}.scale"] = gscale
+    grads_out[f"{name}.shift"] = gshift
     gx, gw, gb = conv3d_backward(x, conv, _param(params, f"{name}.w"), grad,
                                  need_input_grad)
     grads_out[f"{name}.w"] = gw
     if conv.has_bias:
         grads_out[f"{name}.b"] = gb
     return gx
+
+
+def _accumulate(pending: dict, key: str, grad: np.ndarray) -> None:
+    prev = pending.get(key)
+    pending[key] = grad if prev is None else prev + grad
 
 
 def block_forward(spec: BlockSpec, params, x: np.ndarray,
@@ -252,28 +243,14 @@ def block_forward(spec: BlockSpec, params, x: np.ndarray,
     if x.shape[1] != spec.in_channels:
         raise ShapeError(f"block {prefix or spec.variant}: input has "
                          f"{x.shape[1]} channels, expected {spec.in_channels}")
-    reduced = unit_forward(f"{prefix}reduce", spec.reduce, True, True,
-                           params, x, state)
-    main_outs = []
-    cur = reduced
-    for i, conv in enumerate(spec.main_stage, start=1):
-        cur = unit_forward(f"{prefix}main{i}", conv, True, True,
-                           params, cur, state)
-        main_outs.append(cur)
-    branch_outs = []
-    for j, (tap, conv) in enumerate(spec.branches, start=1):
-        branch_outs.append(unit_forward(f"{prefix}branch{j}", conv, True, True,
-                                        params, main_outs[tap - 1], state))
-    if state.capture is not None:
-        state.capture[f"{prefix}branches"] = list(branch_outs)
-    fused = unit_forward(f"{prefix}fuse", spec.fusion, True, False,
-                         params, concat_channels(branch_outs), state)
-    if spec.shortcut is None:
-        short = x
-    else:
-        short = unit_forward(f"{prefix}proj", spec.shortcut, True, False,
-                             params, x, state)
-    pre = fused + short
+    outs = {INPUT: x}
+    for name, conv, act, source in block_plan(spec, prefix):
+        if isinstance(source, tuple):
+            inp = concat_channels([outs[s] for s in source])
+        else:
+            inp = outs[source]
+        outs[name] = unit_forward(name, conv, act, params, inp, state)
+    pre = outs[f"{prefix}fuse"] + outs[_shortcut_source(spec, prefix)]
     if state.cache is not None:
         state.cache[f"{prefix}sum"] = pre
     return relu_forward(pre)
@@ -281,68 +258,82 @@ def block_forward(spec: BlockSpec, params, x: np.ndarray,
 
 def block_backward(spec: BlockSpec, params, cache, grad_y: np.ndarray,
                    prefix: str = ""):
-    """Gradients through one block; returns ``(grad_x, grads)``."""
+    """Gradients through one block; returns ``(grad_x, grads)``.
+
+    Walks the plan in reverse and sums the gradients reaching each source.
+    """
     grads: dict[str, np.ndarray] = {}
     g_sum = relu_backward(cache[f"{prefix}sum"], grad_y)
-    g_cat = unit_backward(f"{prefix}fuse", spec.fusion, True, False,
-                          params, cache, g_sum, grads)
-    splits = split_channels(g_cat, spec.branch_widths)
-    main_grads: list[np.ndarray | None] = [None] * spec.branch_count
-    for j, (tap, conv) in enumerate(spec.branches, start=1):
-        g = unit_backward(f"{prefix}branch{j}", conv, True, True,
-                          params, cache, splits[j - 1], grads)
-        prev = main_grads[tap - 1]
-        main_grads[tap - 1] = g if prev is None else prev + g
-    carry = None
-    for i in range(spec.branch_count, 0, -1):
-        g = main_grads[i - 1]
-        if carry is not None:
-            g = g + carry if g is not None else carry
-        carry = unit_backward(f"{prefix}main{i}", spec.main_stage[i - 1],
-                              True, True, params, cache, g, grads)
-    grad_x = unit_backward(f"{prefix}reduce", spec.reduce, True, True,
-                           params, cache, carry, grads)
-    if spec.shortcut is None:
-        grad_x = grad_x + g_sum
-    else:
-        grad_x = grad_x + unit_backward(f"{prefix}proj", spec.shortcut, True,
-                                        False, params, cache, g_sum, grads)
-    return grad_x, grads
+    pending = {f"{prefix}fuse": g_sum, _shortcut_source(spec, prefix): g_sum}
+    plan = block_plan(spec, prefix)
+    widths = {name: conv.out_channels for name, conv, _, _ in plan}
+    for name, conv, act, source in reversed(plan):
+        g = unit_backward(name, conv, act, params, cache, pending.pop(name),
+                          grads)
+        if isinstance(source, tuple):
+            parts = split_channels(g, [widths[key] for key in source])
+            for key, part in zip(source, parts):
+                _accumulate(pending, key, part)
+        else:
+            _accumulate(pending, source, g)
+    return pending[INPUT], grads
 
 
 def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int,
                           position: tuple[int, int, int] | None = None):
     """Gradient of one branch-output element (summed over channels) w.r.t. x.
 
-    Runs the reduce -> Main Stage -> branch subpath in eval mode and seeds the
-    backward with a one-hot at ``position`` (default: the output center).  The
-    nonzero support of the result is the branch's receptive field.
+    Runs the plan units that lead from the block input to ``branch{tap}`` in
+    eval mode and seeds the backward with a one-hot at ``position`` (default:
+    the output center).  The nonzero support of the result is the branch's
+    receptive field.
     """
-    _check_tap(spec, tap)
+    chain = _branch_path(spec, tap)
     state = RunState(mode="eval", cache={})
-    chain = [("reduce", spec.reduce)]
-    chain += [(f"main{i}", spec.main_stage[i - 1]) for i in range(1, tap + 1)]
-    chain += [(f"branch{tap}", spec.branches[tap - 1][1])]
     cur = x
-    for name, conv in chain:
-        cur = unit_forward(name, conv, True, True, params, cur, state)
+    for name, conv, act, _ in chain:
+        cur = unit_forward(name, conv, act, params, cur, state)
     if position is None:
         position = (cur.shape[2] // 2, cur.shape[3] // 2, cur.shape[4] // 2)
     grad = np.zeros_like(cur)
     grad[:, :, position[0], position[1], position[2]] = 1.0
     grads: dict[str, np.ndarray] = {}
-    for name, conv in reversed(chain):
-        grad = unit_backward(name, conv, True, True, params, state.cache,
-                             grad, grads)
+    for name, conv, act, _ in reversed(chain):
+        grad = unit_backward(name, conv, act, params, state.cache, grad, grads)
     return grad
+
+
+def _branch_path(spec: BlockSpec, tap: int) -> list[tuple]:
+    """The plan units from the block input to ``branch{tap}``, in order."""
+    if not 1 <= tap <= spec.branch_count:
+        raise BlockConfigError(f"tap {tap} out of range 1..{spec.branch_count}")
+    units = {unit[0]: unit for unit in block_plan(spec)}
+    path = []
+    name = f"branch{tap}"
+    while name != INPUT:
+        path.insert(0, units[name])
+        name = units[name][3]
+    return path
+
+
+def temporal_receptive_field(spec: BlockSpec, tap: int) -> int:
+    """Frames of input influencing one output element of branch ``tap``."""
+    return 1 + sum(conv.kernel[0] - 1
+                   for _, conv, _, _ in _branch_path(spec, tap))
+
+
+def spatial_receptive_field(spec: BlockSpec, tap: int) -> int:
+    """Pixels (per spatial axis) influencing one output element of branch ``tap``."""
+    return 1 + sum(conv.kernel[1] - 1
+                   for _, conv, _, _ in _branch_path(spec, tap))
 
 
 def describe_block(spec: BlockSpec, prefix: str = "") -> list[str]:
     """Human-readable per-layer listing: ids, kernel/stride/padding, channels."""
     lines = []
-    for name, conv, bn, act in iter_block_units(spec, prefix):
+    for name, conv, act, _ in block_plan(spec, prefix):
         kt, kh, kw = conv.kernel
-        tail = "+bn" + ("+relu" if act else "") if bn else ""
+        tail = "+bn+relu" if act else "+bn"
         lines.append(f"{name:<24} {kt}x{kh}x{kw} s{conv.stride} p{conv.padding} "
                      f"{conv.in_channels}->{conv.out_channels} {tail}")
     if spec.shortcut is None:

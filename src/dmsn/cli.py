@@ -20,8 +20,8 @@ import numpy as np
 from .blocks import describe_block
 from .complexity import count_flops, emit_cost_table
 from .gradsuite import run_gradient_suites
-from .model import (ConfigError, ModelConfig, build_model, init_params,
-                    load_checkpoint, save_checkpoint, stage_extents)
+from .model import (ConfigError, ModelConfig, build_model, load_checkpoint,
+                    save_checkpoint)
 from .ops import GeometryError, ShapeError
 from .pipeline import (DatasetError, ManifestError, SynthConfig,
                        aggregate_video_score, format_synth_config,
@@ -190,8 +190,8 @@ def _resolve(ns: argparse.Namespace, opts: tuple[Opt, ...]) -> dict:
     return values
 
 
-def _model_config(values: dict, model: str | None = None) -> ModelConfig:
-    return ModelConfig(model_kind=model or values["model"],
+def _model_config(values: dict) -> ModelConfig:
+    return ModelConfig(model_kind=values["model"],
                        clip_len=values["frames"],
                        input_size=(values["size"], values["size"]),
                        branch_count=values["branches"],
@@ -209,33 +209,48 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _kernel(values) -> str:
+    return "x".join(str(v) for v in values)
+
+
+def _tight(values) -> str:
+    return str(tuple(values)).replace(" ", "")
+
+
 def cmd_describe(values: dict) -> int:
     config = _model_config(values)
     spec = build_model(config)
     lines = [f"model {config.model_kind}  frames {config.clip_len}  "
              f"input {config.input_size[0]}x{config.input_size[1]}  "
              f"branches {config.branch_count}  width {config.width_multiplier}"]
-    extents = {name: (c, dims) for name, c, dims in stage_extents(spec)}
-    for name in ("input", "conv1", "pool"):
-        c, (t, h, w) = extents[name]
-        detail = ""
-        if name == "conv1":
-            detail = "7x7x7 s(1,2,2) p(3,3,3)  3->{}".format(c)
-        elif name == "pool":
-            detail = "max 3x3x3 s2 p1"
+    extents = {row.layer_id: row.out_extents
+               for row in count_flops(spec).rows}
+    extents["input"] = (3, config.clip_len) + config.input_size
+    stem = spec.conv1
+    kernel, stride, padding = spec.pool
+    # a cubic pool prints each geometry triple as one number
+    stride, padding = (v[0] if len(set(v)) == 1 else _tight(v)
+                       for v in (stride, padding))
+    details = {
+        "input": "",
+        "conv1": f"{_kernel(stem.kernel)} s{_tight(stem.stride)} "
+                 f"p{_tight(stem.padding)}  "
+                 f"{stem.in_channels}->{stem.out_channels}",
+        "pool": f"max {_kernel(kernel)} s{stride} p{padding}",
+    }
+    for name, detail in details.items():
+        c, t, h, w = extents[name]
         lines.append(f"{name:<10} {detail:<28} {c:>5}  {t}x{h}x{w}")
-    t, h, w = extents["pool"][1]
     for stage_name, blocks in spec.stages:
         for i, block in enumerate(blocks, start=1):
-            if block.spatial_stride != 1:
-                h = (h - 1) // block.spatial_stride + 1
-                w = (w - 1) // block.spatial_stride + 1
+            prefix = f"{stage_name}.{i}."
+            _, t, h, w = extents[prefix + "join"]
             lines.append(f"{stage_name}.{i:<8} DMSN-{block.variant}  "
                          f"{block.in_channels}->{block.out_channels}  "
                          f"s{block.spatial_stride}  {t}x{h}x{w}")
             if values["detail"]:
-                lines.extend("  " + line for line in
-                             describe_block(block, f"{stage_name}.{i}."))
+                lines.extend("  " + line
+                             for line in describe_block(block, prefix))
     lines.append(f"head       spatial-avgpool, fc {spec.head_channels}->1, "
                  f"temporal-avgpool  scalar")
     _emit("\n".join(lines) + "\n", values["out"])
@@ -249,11 +264,9 @@ def cmd_count(values: dict) -> int:
     for kind in values["model"]:
         for branches in values["branches"]:
             for frames in values["frames"]:
-                config = ModelConfig(model_kind=kind, clip_len=frames,
-                                     input_size=(values["size"], values["size"]),
-                                     branch_count=branches,
-                                     width_multiplier=values["width"],
-                                     seed=values["seed"])
+                config = _model_config({**values, "model": kind,
+                                        "frames": frames,
+                                        "branches": branches})
                 report = count_flops(build_model(config),
                                      convention=values["convention"])
                 if branches != 4:

@@ -13,8 +13,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .blocks import BlockSpec, iter_block_units
-from .model import ModelSpec, iter_model_units
+from .blocks import INPUT, BlockSpec, block_plan
+from .model import ModelSpec, block_prefixes
 from .ops import ConvLayerSpec, conv_output_shape, out_extent
 
 CONVENTIONS = ("mac1", "mac2")
@@ -62,15 +62,12 @@ class CostReport:
         return sum(r.aux_flops for r in self.rows)
 
 
-def _unit_row(name: str, conv: ConvLayerSpec, bn: bool, act: bool,
+def _unit_row(name: str, conv: ConvLayerSpec, act: bool,
               in_shape=None) -> tuple[CostRow, tuple | None]:
-    """Cost row for one conv(+bn)(+relu) unit; returns its output shape too."""
-    params = conv.param_count()
-    stats = 0
-    if bn:
-        params += 2 * conv.out_channels
-        stats += 2 * conv.out_channels
-    row = CostRow(name, "conv", None, params=params, stats_params=stats)
+    """Cost row for one conv+bn(+relu) unit; returns its output shape too."""
+    row = CostRow(name, "conv", None,
+                  params=conv.param_count() + 2 * conv.out_channels,
+                  stats_params=2 * conv.out_channels)
     out_shape = None
     if in_shape is not None:
         out_shape = conv_output_shape(in_shape, conv)
@@ -78,42 +75,10 @@ def _unit_row(name: str, conv: ConvLayerSpec, bn: bool, act: bool,
         elements = n * c * t * h * w
         row.out_extents = (c, t, h, w)
         row.macs = conv.weight_count * n * t * h * w
-        if bn:
-            row.aux_flops += 2 * elements
+        row.aux_flops += 2 * elements
         if act:
             row.aux_flops += elements
     return row, out_shape
-
-
-def _walk_block(block: BlockSpec, prefix: str, in_shape):
-    """Rows for one block, mirroring the execution wiring."""
-    rows = []
-    units = {name: (conv, bn, act)
-             for name, conv, bn, act in iter_block_units(block, prefix)}
-
-    def run(name, shape):
-        conv, bn, act = units[name]
-        row, out_shape = _unit_row(name, conv, bn, act, shape)
-        rows.append(row)
-        return out_shape
-
-    reduced = run(f"{prefix}reduce", in_shape)
-    main_shapes = []
-    cur = reduced
-    for i in range(1, block.branch_count + 1):
-        cur = run(f"{prefix}main{i}", cur)
-        main_shapes.append(cur)
-    for j, (tap, _) in enumerate(block.branches, start=1):
-        run(f"{prefix}branch{j}", main_shapes[tap - 1])
-    n, _, t, h, w = reduced
-    out_shape = run(f"{prefix}fuse", (n, block.mid_channels, t, h, w))
-    if block.shortcut is not None:
-        run(f"{prefix}proj", in_shape)
-    # residual add + final relu
-    n, c, t, h, w = out_shape
-    rows.append(CostRow(f"{prefix}join", "add+relu", (c, t, h, w),
-                        aux_flops=2 * n * c * t * h * w))
-    return rows, out_shape
 
 
 def count_params(spec) -> CostReport:
@@ -121,16 +86,18 @@ def count_params(spec) -> CostReport:
     if isinstance(spec, BlockSpec):
         report = CostReport(label=f"block-{spec.variant}",
                             branch_count=spec.branch_count)
-        units = iter_block_units(spec)
+        units = block_plan(spec)
     elif isinstance(spec, ModelSpec):
         report = CostReport(label=spec.config.model_kind,
                             branch_count=spec.config.branch_count)
-        units = iter_model_units(spec)
+        units = [("conv1", spec.conv1, True, None)]
+        for prefix, block in block_prefixes(spec):
+            units += block_plan(block, prefix)
     else:
         raise TypeError(f"count_params expects a ModelSpec or BlockSpec, "
                         f"got {type(spec).__name__}")
-    for name, conv, bn, act in units:
-        row, _ = _unit_row(name, conv, bn, act)
+    for name, conv, act, _ in units:
+        row, _ = _unit_row(name, conv, act)
         report.rows.append(row)
     if isinstance(spec, ModelSpec):
         report.rows.append(CostRow("head.fc", "linear", None,
@@ -140,7 +107,11 @@ def count_params(spec) -> CostReport:
 
 def count_flops(spec: ModelSpec, input_geometry=None,
                 convention: str = "mac1") -> CostReport:
-    """Per-layer parameter and MAC accounting for a full model."""
+    """Per-layer parameter and MAC accounting for a full model.
+
+    Each row's ``out_extents`` is the layer's output ``(c, t, h, w)``; a
+    block's ``join`` row holds the block output.
+    """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
     if input_geometry is None:
@@ -151,7 +122,7 @@ def count_flops(spec: ModelSpec, input_geometry=None,
                         clip_len=input_geometry[2],
                         input_size=tuple(input_geometry[3:]), batch=n,
                         branch_count=spec.config.branch_count)
-    row, shape = _unit_row("conv1", spec.conv1, True, True, input_geometry)
+    row, shape = _unit_row("conv1", spec.conv1, True, input_geometry)
     report.rows.append(row)
     (kt, kh, kw), (st, sh, sw), (pt, ph, pw) = spec.pool
     _, c, t, h, w = shape
@@ -161,10 +132,21 @@ def count_flops(spec: ModelSpec, input_geometry=None,
     report.rows.append(CostRow("pool", "maxpool", (c, t, h, w),
                                aux_flops=n * c * t * h * w * kt * kh * kw))
     shape = (n, c, t, h, w)
-    for stage_name, blocks in spec.stages:
-        for i, block in enumerate(blocks, start=1):
-            rows, shape = _walk_block(block, f"{stage_name}.{i}.", shape)
-            report.rows.extend(rows)
+    for prefix, block in block_prefixes(spec):
+        shapes = {INPUT: shape}
+        for name, conv, act, source in block_plan(block, prefix):
+            if isinstance(source, tuple):
+                n, _, t, h, w = shapes[source[0]]
+                in_shape = (n, sum(shapes[s][1] for s in source), t, h, w)
+            else:
+                in_shape = shapes[source]
+            row, shapes[name] = _unit_row(name, conv, act, in_shape)
+            report.rows.append(row)
+        # residual add + final relu
+        shape = shapes[f"{prefix}fuse"]
+        n, c, t, h, w = shape
+        report.rows.append(CostRow(f"{prefix}join", "add+relu", (c, t, h, w),
+                                   aux_flops=2 * n * c * t * h * w))
     n, c, t, h, w = shape
     report.rows.append(CostRow("head.avgpool", "avgpool", (c, t, 1, 1),
                                aux_flops=n * c * t * h * w))

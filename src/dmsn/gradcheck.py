@@ -45,34 +45,24 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 
 def grad_check(forward_fn, params: dict[str, np.ndarray],
-               probe_count: int = 12, epsilon: float = 1e-5,
-               threshold: float = 1e-4, seed: int = 0,
-               analytic_grads: dict[str, np.ndarray] | None = None) -> GradCheckReport:
+               analytic_grads: dict[str, np.ndarray], probe_count: int = 12,
+               epsilon: float = 1e-5, threshold: float = 1e-4,
+               seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central differences on random coordinates.
 
-    ``forward_fn(params)`` maps a parameter bundle to a scalar loss.  The
-    analytic gradients either come in via ``analytic_grads`` or, when that is
-    None, ``forward_fn`` must return ``(loss, grads)`` and the first call's
-    grads are used.  Only the entries present in the gradient dict are probed,
-    ``probe_count`` random coordinates each.  Parameters must be float64;
-    central differences need the headroom.
+    ``forward_fn(params)`` maps a parameter bundle to a scalar loss.  Only the
+    entries present in ``analytic_grads`` are probed, ``probe_count`` random
+    coordinates each.  Parameters must be float64; central differences need
+    the headroom.
     """
     for name, arr in params.items():
         if arr.dtype != np.float64:
             raise ValueError(f"grad_check needs float64 parameters; {name} is "
                              f"{arr.dtype}")
 
-    def loss_of(p) -> float:
-        result = forward_fn(p)
-        return float(result[0] if isinstance(result, tuple) else result)
-
-    if analytic_grads is None:
-        _, grads = forward_fn(params)
-    else:
-        grads = analytic_grads
     rng = np.random.default_rng(seed)
     report = GradCheckReport(threshold=threshold)
-    for name in sorted(grads):
+    for name in sorted(analytic_grads):
         size = params[name].size
         count = min(probe_count, size)
         coords = rng.choice(size, size=count, replace=False)
@@ -81,13 +71,13 @@ def grad_check(forward_fn, params: dict[str, np.ndarray],
             bumped = params[name].copy()
             bumped.flat[flat] += epsilon
             shifted[name] = bumped
-            loss_plus = loss_of(shifted)
+            loss_plus = float(forward_fn(shifted))
             bumped = params[name].copy()
             bumped.flat[flat] -= epsilon
             shifted[name] = bumped
-            loss_minus = loss_of(shifted)
+            loss_minus = float(forward_fn(shifted))
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            analytic = float(grads[name].flat[flat])
+            analytic = float(analytic_grads[name].flat[flat])
             report.record(name, relative_error(analytic, numeric),
                           abs(analytic - numeric))
     return report

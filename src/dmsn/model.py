@@ -18,11 +18,11 @@ import numpy as np
 
 from . import tensorfile
 from .blocks import (BlockSpec, RunState, block_backward, block_forward,
-                     block_param_shapes, build_block, iter_block_units,
-                     unit_backward, unit_forward, unit_param_shapes)
+                     block_param_shapes, build_block, unit_backward,
+                     unit_forward, unit_param_shapes)
 from .ops import (ConvLayerSpec, ShapeError, avgpool_spatial,
-                  avgpool_spatial_backward, conv_output_shape, linear_backward,
-                  linear_forward, maxpool3d, maxpool3d_backward, out_extent)
+                  avgpool_spatial_backward, linear_backward, linear_forward,
+                  maxpool3d, maxpool3d_backward)
 
 MODEL_KINDS = ("dmsn", "dmsn-a", "dmsn-b", "dmsn-c")
 STAGES = (("res2", 128, "ABC"),
@@ -106,14 +106,6 @@ def build_model(config: ModelConfig) -> ModelSpec:
     return ModelSpec(config, conv1, POOL_GEOMETRY, tuple(stages), in_ch)
 
 
-def iter_model_units(spec: ModelSpec):
-    """Yield every conv unit ``(name, conv, bn, act)`` in execution order."""
-    yield "conv1", spec.conv1, True, True
-    for stage_name, blocks in spec.stages:
-        for i, block in enumerate(blocks, start=1):
-            yield from iter_block_units(block, f"{stage_name}.{i}.")
-
-
 def block_prefixes(spec: ModelSpec):
     for stage_name, blocks in spec.stages:
         for i, block in enumerate(blocks, start=1):
@@ -122,7 +114,7 @@ def block_prefixes(spec: ModelSpec):
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple]:
     """Declared shape of every bundle entry, in canonical order."""
-    shapes = unit_param_shapes("conv1", spec.conv1, True)
+    shapes = unit_param_shapes("conv1", spec.conv1)
     for prefix, block in block_prefixes(spec):
         shapes.update(block_param_shapes(block, prefix))
     shapes["head.fc.w"] = (1, spec.head_channels)
@@ -181,7 +173,7 @@ def _check_clip(spec: ModelSpec, clip: np.ndarray) -> None:
 def forward_with_state(spec: ModelSpec, params: dict, clip: np.ndarray,
                        state: RunState) -> np.ndarray:
     _check_clip(spec, clip)
-    x = unit_forward("conv1", spec.conv1, True, True, params, clip, state)
+    x = unit_forward("conv1", spec.conv1, True, params, clip, state)
     pre_pool_shape = x.shape
     x, argmax = maxpool3d(x, *spec.pool)
     if state.cache is not None:
@@ -221,7 +213,7 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
     argmax, pre_pool_shape = cache["pool"]
     gx = maxpool3d_backward(gx, argmax, pre_pool_shape, *spec.pool)
     # the stem's input gradient has no consumer
-    unit_backward("conv1", spec.conv1, True, True, params, cache, gx, grads,
+    unit_backward("conv1", spec.conv1, True, params, cache, gx, grads,
                   need_input_grad=False)
     return grads
 
@@ -337,21 +329,16 @@ def _take(stream: io.BytesIO, count: int) -> bytes:
 
 def stage_extents(spec: ModelSpec):
     """(layer id, channels, (t, h, w)) for the stem, pool, stages, and head."""
-    t, h, w = (spec.config.clip_len,) + tuple(spec.config.input_size)
-    rows = [("input", 3, (t, h, w))]
-    _, c, t, h, w = conv_output_shape((1, 3, t, h, w), spec.conv1)
-    rows.append(("conv1", c, (t, h, w)))
-    (kt, kh, kw), (st, sh, sw), (pt, ph, pw) = spec.pool
-    t = out_extent(t, kt, st, pt, "time")
-    h = out_extent(h, kh, sh, ph, "height")
-    w = out_extent(w, kw, sw, pw, "width")
-    rows.append(("pool", c, (t, h, w)))
+    from .complexity import count_flops  # complexity imports this module
+
+    extents = {row.layer_id: row.out_extents
+               for row in count_flops(spec).rows}
     for name, blocks in spec.stages:
-        for block in blocks:
-            s = block.spatial_stride
-            if s != 1:
-                h = out_extent(h, 1, s, 0, "height")
-                w = out_extent(w, 1, s, 0, "width")
-        rows.append((name, blocks[-1].out_channels, (t, h, w)))
+        extents[name] = extents[f"{name}.{len(blocks)}.join"]
+    t, (h, w) = spec.config.clip_len, spec.config.input_size
+    rows = [("input", 3, (t, h, w))]
+    for name in ("conv1", "pool") + tuple(name for name, _ in spec.stages):
+        c, t, h, w = extents[name]
+        rows.append((name, c, (t, h, w)))
     rows.append(("head", 1, None))
     return rows

@@ -131,7 +131,6 @@ class Clip:
 class ClipDataset:
     clip_len: int
     clips: list[Clip] = field(default_factory=list)
-    short_video_warning: bool = False
 
     def subjects(self) -> list[str]:
         return sorted({c.subject_id for c in self.clips})
@@ -179,9 +178,8 @@ def dataset_from_videos(videos, clip_len: int,
                         label_order: str = "quantize-then-average") -> ClipDataset:
     ds = ClipDataset(clip_len)
     for video in videos:
-        clips, short = segment_clips(video, clip_len, label_order)
+        clips, _ = segment_clips(video, clip_len, label_order)
         ds.clips.extend(clips)
-        ds.short_video_warning |= short
     return ds
 
 

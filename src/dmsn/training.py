@@ -169,7 +169,6 @@ class TrainHistory:
     seed: int
     config: TrainConfig
     steps: list[tuple[int, int, float, float]] = field(default_factory=list)
-    epoch_metrics: list[dict] = field(default_factory=list)
 
     def losses(self) -> list[float]:
         return [s[3] for s in self.steps]
@@ -233,7 +232,6 @@ def train(model_config: ModelConfig, dataset, config: TrainConfig,
     for epoch in range(config.resolved_epochs()):
         if config.lr_override is None:
             state.lr = lr_at(schedule, epoch)
-        epoch_losses = []
         for batch in _batches(len(clips), config.batch_size, shuffle_rng):
             x = np.stack([clips[i] for i in batch])
             y = labels[batch]
@@ -242,13 +240,10 @@ def train(model_config: ModelConfig, dataset, config: TrainConfig,
                 raise TrainingDiverged(f"non-finite loss at step {step} "
                                        f"(epoch {epoch})")
             history.steps.append((step, epoch, state.lr, loss))
-            epoch_losses.append(loss)
             step += 1
             if config.max_steps is not None and step >= config.max_steps:
                 done = True
                 break
-        history.epoch_metrics.append(
-            {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))})
         if done:
             break
     return params, history

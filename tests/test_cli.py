@@ -43,6 +43,26 @@ class TestDescribe:
         assert "16x56x56" in path.read_text()
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("describe.txt", ["describe"]),
+    ("describe_detail.txt", ["describe", "--detail"]),
+    ("describe_b_br3_f8_detail.txt",
+     ["describe", "--model", "dmsn-b", "--branches", "3", "--frames", "8",
+      "--detail"]),
+    ("count.txt", ["count", "--model", "dmsn-a,dmsn-b,dmsn-c,dmsn",
+                   "--branches", "2,3,4", "--frames", "8,16"]),
+])
+def test_output_matches_golden_text(capsys, golden, argv):
+    # integer shape and cost arithmetic only, so the text is machine-independent
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN_DIR, golden), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 class TestCount:
     def test_four_models_ordered_as_given(self, capsys):
         code, out, _ = run(capsys, "count", "--model",

@@ -10,7 +10,8 @@ import pytest
 from dmsn.blocks import RunState, build_block
 from dmsn.complexity import (CostReport, count_flops, count_params,
                              emit_cost_table)
-from dmsn.model import ModelConfig, build_model, forward_with_state, init_params
+from dmsn.model import (ModelConfig, build_model, forward_with_state,
+                        init_params, param_shapes)
 from dmsn.ops import MacCounter
 
 
@@ -46,13 +47,14 @@ class TestCountParams:
             < totals["dmsn-c"]
 
     def test_headline_decomposes_into_weights_norm_and_head(self):
-        from dmsn.model import iter_model_units
         spec = build_model(ModelConfig())
         report = count_params(spec)
-        weight_total = sum(conv.weight_count
-                           for _, conv, _, _ in iter_model_units(spec))
-        norm_total = sum(2 * conv.out_channels
-                         for _, conv, bn, _ in iter_model_units(spec) if bn)
+        sizes = {name: int(np.prod(shape))
+                 for name, shape in param_shapes(spec).items()}
+        weight_total = sum(size for name, size in sizes.items()
+                           if name.endswith(".w") and name != "head.fc.w")
+        norm_total = sum(size for name, size in sizes.items()
+                         if name.endswith((".scale", ".shift")))
         assert report.total_stats_params == norm_total
         assert report.total_params == weight_total + norm_total \
             + spec.head_channels + 1
@@ -115,16 +117,31 @@ class TestCountFlops:
             assert abs(got / want - 1) < 0.30
 
     def test_matches_instrumented_forward_exactly(self):
-        config = ModelConfig(clip_len=8, input_size=(32, 32),
-                             width_multiplier=Fraction(1, 8))
-        spec = build_model(config)
-        params = init_params(spec, seed=0)
         clip = np.random.default_rng(0).normal(size=(2, 3, 8, 32, 32))
-        counter = MacCounter()
-        state = RunState(mode="eval", counter=counter)
-        forward_with_state(spec, params, clip, state)
-        analytic = count_flops(spec, input_geometry=(2, 3, 8, 32, 32))
-        assert counter.macs == analytic.total_macs
+        for kind in ("dmsn", "dmsn-a", "dmsn-b", "dmsn-c"):
+            for branches in (2, 3, 4):
+                config = ModelConfig(model_kind=kind, clip_len=8,
+                                     input_size=(32, 32),
+                                     branch_count=branches,
+                                     width_multiplier=Fraction(1, 8))
+                spec = build_model(config)
+                params = init_params(spec, seed=0)
+                counter = MacCounter()
+                state = RunState(mode="eval", counter=counter, cache={})
+                forward_with_state(spec, params, clip, state)
+                analytic = count_flops(spec, input_geometry=clip.shape)
+                assert counter.macs == analytic.total_macs, (kind, branches)
+                for row in analytic.rows:
+                    if row.kind == "conv":
+                        _, (normalized, _, _), _ = state.cache[row.layer_id]
+                        got = normalized.shape
+                    elif row.kind == "add+relu":
+                        got = state.cache[row.layer_id[:-len("join")]
+                                          + "sum"].shape
+                    else:
+                        continue
+                    assert got == (2,) + row.out_extents, \
+                        (kind, branches, row.layer_id)
 
 
 class TestEmitTable:

@@ -21,7 +21,9 @@ def quadratic_case():
 
 def test_correct_gradient_passes():
     fn, params = quadratic_case()
-    report = grad_check(fn, params, probe_count=3, threshold=1e-6)
+    _, grads = fn(params)
+    report = grad_check(lambda p: fn(p)[0], params, analytic_grads=grads,
+                        probe_count=3, threshold=1e-6)
     assert report.passed
     assert report.max_rel_error < 1e-6
 
@@ -47,8 +49,9 @@ def test_relative_error_floor():
 def test_float32_params_rejected():
     fn, params = quadratic_case()
     params32 = {"x": params["x"].astype(np.float32)}
+    _, grads = fn(params32)
     with pytest.raises(ValueError, match="float64"):
-        grad_check(fn, params32)
+        grad_check(lambda p: fn(p)[0], params32, analytic_grads=grads)
 
 
 def test_linear_layer_suite_passes():
