@@ -2,8 +2,7 @@
 
 Headline FLOPs count convolution and linear multiply-accumulates only; the
 ``mac1`` convention reports one FLOP per MAC and ``mac2`` doubles it.  Pooling,
-normalization, and rectification costs are tallied separately as auxiliary
-FLOPs.  Normalization scale/shift weights count as parameters; running stats
+normalization, and rectification are not counted.  Normalization scale/shift weights count as parameters; running stats
 are reported apart from the headline total.
 """
 
@@ -28,7 +27,6 @@ class CostRow:
     params: int = 0
     stats_params: int = 0
     macs: int = 0
-    aux_flops: int = 0
 
 
 @dataclass
@@ -57,12 +55,8 @@ class CostReport:
     def total_flops(self) -> int:
         return self.total_macs * (2 if self.convention == "mac2" else 1)
 
-    @property
-    def total_aux_flops(self) -> int:
-        return sum(r.aux_flops for r in self.rows)
 
-
-def _unit_row(name: str, conv: ConvLayerSpec, act: bool,
+def _unit_row(name: str, conv: ConvLayerSpec,
               in_shape=None) -> tuple[CostRow, tuple | None]:
     """Cost row for one conv+bn(+relu) unit; returns its output shape too."""
     row = CostRow(name, "conv", None,
@@ -72,12 +66,8 @@ def _unit_row(name: str, conv: ConvLayerSpec, act: bool,
     if in_shape is not None:
         out_shape = conv_output_shape(in_shape, conv)
         n, c, t, h, w = out_shape
-        elements = n * c * t * h * w
         row.out_extents = (c, t, h, w)
         row.macs = conv.weight_count * n * t * h * w
-        row.aux_flops += 2 * elements
-        if act:
-            row.aux_flops += elements
     return row, out_shape
 
 
@@ -96,8 +86,8 @@ def count_params(spec) -> CostReport:
     else:
         raise TypeError(f"count_params expects a ModelSpec or BlockSpec, "
                         f"got {type(spec).__name__}")
-    for name, conv, act, _ in units:
-        row, _ = _unit_row(name, conv, act)
+    for name, conv, _, _ in units:
+        row, _ = _unit_row(name, conv)
         report.rows.append(row)
     if isinstance(spec, ModelSpec):
         report.rows.append(CostRow("head.fc", "linear", None,
@@ -122,39 +112,35 @@ def count_flops(spec: ModelSpec, input_geometry=None,
                         clip_len=input_geometry[2],
                         input_size=tuple(input_geometry[3:]), batch=n,
                         branch_count=spec.config.branch_count)
-    row, shape = _unit_row("conv1", spec.conv1, True, input_geometry)
+    row, shape = _unit_row("conv1", spec.conv1, input_geometry)
     report.rows.append(row)
     (kt, kh, kw), (st, sh, sw), (pt, ph, pw) = spec.pool
     _, c, t, h, w = shape
     t = out_extent(t, kt, st, pt, "time")
     h = out_extent(h, kh, sh, ph, "height")
     w = out_extent(w, kw, sw, pw, "width")
-    report.rows.append(CostRow("pool", "maxpool", (c, t, h, w),
-                               aux_flops=n * c * t * h * w * kt * kh * kw))
+    report.rows.append(CostRow("pool", "maxpool", (c, t, h, w)))
     shape = (n, c, t, h, w)
     for prefix, block in block_prefixes(spec):
         shapes = {INPUT: shape}
-        for name, conv, act, source in block_plan(block, prefix):
+        for name, conv, _, source in block_plan(block, prefix):
             if isinstance(source, tuple):
                 n, _, t, h, w = shapes[source[0]]
                 in_shape = (n, sum(shapes[s][1] for s in source), t, h, w)
             else:
                 in_shape = shapes[source]
-            row, shapes[name] = _unit_row(name, conv, act, in_shape)
+            row, shapes[name] = _unit_row(name, conv, in_shape)
             report.rows.append(row)
         # residual add + final relu
         shape = shapes[f"{prefix}fuse"]
         n, c, t, h, w = shape
-        report.rows.append(CostRow(f"{prefix}join", "add+relu", (c, t, h, w),
-                                   aux_flops=2 * n * c * t * h * w))
+        report.rows.append(CostRow(f"{prefix}join", "add+relu", (c, t, h, w)))
     n, c, t, h, w = shape
-    report.rows.append(CostRow("head.avgpool", "avgpool", (c, t, 1, 1),
-                               aux_flops=n * c * t * h * w))
+    report.rows.append(CostRow("head.avgpool", "avgpool", (c, t, 1, 1)))
     report.rows.append(CostRow("head.fc", "linear", (1, t, 1, 1),
                                params=spec.head_channels + 1,
                                macs=n * t * spec.head_channels))
-    report.rows.append(CostRow("head.avgpool_t", "avgpool", (1, 1, 1, 1),
-                               aux_flops=n * t))
+    report.rows.append(CostRow("head.avgpool_t", "avgpool", (1, 1, 1, 1)))
     return report
 
 

@@ -27,7 +27,8 @@ def _proj(rng, shape):
     return rng.normal(size=shape)
 
 
-def check_linear(seed=0, **kw) -> GradCheckReport:
+def _linear_case(seed):
+    """``(loss, params, analytic_grads)`` for one projected linear layer."""
     rng = np.random.default_rng(seed)
     params = {"x": rng.normal(size=(6, 5)), "w": rng.normal(size=(4, 5)),
               "b": rng.normal(size=(4,))}
@@ -37,8 +38,12 @@ def check_linear(seed=0, **kw) -> GradCheckReport:
         return float(np.sum(linear_forward(p["x"], p["w"], p["b"]) * r))
 
     gx, gw, gb = linear_backward(params["x"], params["w"], r)
-    return grad_check(loss, params, analytic_grads={"x": gx, "w": gw, "b": gb},
-                      seed=seed, **kw)
+    return loss, params, {"x": gx, "w": gw, "b": gb}
+
+
+def check_linear(seed=0, **kw) -> GradCheckReport:
+    loss, params, grads = _linear_case(seed)
+    return grad_check(loss, params, analytic_grads=grads, seed=seed, **kw)
 
 
 def _conv_case(seed, spec: ConvLayerSpec, x_shape, **kw) -> GradCheckReport:
@@ -239,14 +244,8 @@ def run_gradient_suites(seed: int = 0, inject_bug: bool = False,
 
 
 def _with_injected_bug(seed: int, threshold: float) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    params = {"x": rng.normal(size=(6, 5)), "w": rng.normal(size=(4, 5)),
-              "b": rng.normal(size=(4,))}
-    r = _proj(rng, (6, 4))
-
-    def loss(p):
-        return float(np.sum(linear_forward(p["x"], p["w"], p["b"]) * r))
-
-    gx, gw, gb = linear_backward(params["x"], params["w"], r)
-    return grad_check(loss, params, seed=seed, threshold=threshold,
-                      analytic_grads={"x": gx, "w": 2.0 * gw, "b": gb})
+    """:func:`check_linear` with the weight gradient doubled."""
+    loss, params, grads = _linear_case(seed)
+    grads["w"] = 2.0 * grads["w"]
+    return grad_check(loss, params, analytic_grads=grads, seed=seed,
+                      threshold=threshold)

@@ -1,10 +1,19 @@
 """Dense 5-D tensor kernels: convolution, pooling, normalization, linear.
 
 Every activation tensor is a numpy array laid out ``(batch, channels, time,
-height, width)``, row-major.  Kernels accumulate in float64 regardless of the
-input dtype and cast back on the way out, so 32-bit runs stay comparable
-against high-precision oracles.  All functions are pure with respect to their
-array arguments.
+height, width)``, row-major.  Kernels compute in the dtype of their activation
+input: float32 clips run float32 GEMMs and elementwise passes, and float64
+inputs (as gradient checks feed them) stay float64 throughout.  Weights are
+cast to the activation dtype once per call.  Per-channel reductions (batchnorm
+moments and gradient sums, pooling means) accumulate in float64 without
+upcasting the tensor.  Parameter gradients and running statistics come back
+in the parameter dtype.
+
+Forward GEMMs split their reduction axis at fixed offsets (``_GEMM_DEPTH``)
+and add the pieces in order, so a float32 forward pass gives the same bytes
+at 1 and 2 BLAS threads.  (Float64 GEMMs on OpenBLAS 0.3.31 can differ
+between thread counts at any depth.)  All functions are pure with respect to
+their array arguments.
 """
 
 from __future__ import annotations
@@ -108,12 +117,34 @@ def conv_output_shape(x_shape, spec: ConvLayerSpec) -> tuple[int, int, int, int,
     return n, spec.out_channels, to, ho, wo
 
 
+# Deepest GEMM reduction that gives the same float32 bytes at 1 and 2 BLAS
+# threads: with OpenBLAS 0.3.31, sgemm with 448 < K <= 512 differs between
+# thread counts for most K, and K <= 448 matched on 600 random shapes.
+_GEMM_DEPTH = 448
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with the reduction axis cut at multiples of ``_GEMM_DEPTH``
+    and the partial products added in order."""
+    out = a[..., :_GEMM_DEPTH] @ b[..., :_GEMM_DEPTH, :]
+    for k in range(_GEMM_DEPTH, a.shape[-1], _GEMM_DEPTH):
+        out += a[..., k:k + _GEMM_DEPTH] @ b[..., k:k + _GEMM_DEPTH, :]
+    return out
+
+
 def _pad5(x: np.ndarray, padding, value=0.0) -> np.ndarray:
     pt, ph, pw = padding
     if pt == 0 and ph == 0 and pw == 0:
         return x
     return np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)),
                   constant_values=value)
+
+
+def _crop5(xp: np.ndarray, padding, shape) -> np.ndarray:
+    """The interior of a padded buffer: the inverse of :func:`_pad5`."""
+    pt, ph, pw = padding
+    _, _, t, h, w = shape
+    return xp[:, :, pt:pt + t, ph:ph + h, pw:pw + w]
 
 
 def _offset_slice(xp: np.ndarray, offset, stride, out_tail):
@@ -126,11 +157,14 @@ def _offset_slice(xp: np.ndarray, offset, stride, out_tail):
               dw:dw + sw * wo:sw]
 
 
-def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
-    """Gather sliding windows of the padded input into a GEMM-ready matrix.
+def _windows(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
+    """Gather sliding windows of the padded input, channels first.
 
-    Returns ``(n*to*ho*wo, c*kt*kh*kw)`` with the window axes fastest-varying,
-    matching a ``(out_c, c*kt*kh*kw)`` reshaped kernel.
+    Returns ``(n, c*kt*kh*kw, to*ho*wo)``: rows run over the window, matching
+    a ``(out_c, c*kt*kh*kw)`` reshaped kernel, and columns over the output
+    positions, so ``W @ cols[i]`` is sample ``i``'s output already in NCTHW
+    order.  For a stride-1 unpadded pointwise conv the result is a view of the
+    input, not a copy.
     """
     n, c = xp.shape[:2]
     kt, kh, kw = kernel
@@ -138,22 +172,32 @@ def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
     to, ho, wo = out_tail
     sn, sc, s0, s1, s2 = xp.strides
     view = np.lib.stride_tricks.as_strided(
-        xp, (n, to, ho, wo, c, kt, kh, kw),
-        (sn, s0 * st, s1 * sh, s2 * sw, sc, s0, s1, s2), writeable=False)
-    return view.reshape(n * to * ho * wo, c * kt * kh * kw)
+        xp, (n, c, kt, kh, kw, to, ho, wo),
+        (sn, sc, s0, s1, s2, s0 * st, s1 * sh, s2 * sw), writeable=False)
+    return view.reshape(n, c * kt * kh * kw, to * ho * wo)
+
+
+def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
+    """The windows of :func:`_windows` as ``(n*to*ho*wo, c*kt*kh*kw)``, one row
+    per output position.
+
+    The kernels do not use this layout; ``perfbench/selftest.py`` builds its
+    reference float32 conv on it.
+    """
+    cols = _windows(xp, kernel, stride, out_tail)
+    return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
 
 
 def _col2im_add(gxp: np.ndarray, gcols: np.ndarray, kernel, stride, out_tail):
     """Scatter-add window gradients back onto the padded input buffer."""
     n, c = gxp.shape[:2]
     kt, kh, kw = kernel
-    to, ho, wo = out_tail
-    g8 = gcols.reshape(n, to, ho, wo, c, kt, kh, kw)
+    g8 = gcols.reshape((n, c, kt, kh, kw) + tuple(out_tail))
     for dt in range(kt):
         for dh in range(kh):
             for dw in range(kw):
-                target = _offset_slice(gxp, (dt, dh, dw), stride, (to, ho, wo))
-                target += g8[:, :, :, :, :, dt, dh, dw].transpose(0, 4, 1, 2, 3)
+                target = _offset_slice(gxp, (dt, dh, dw), stride, out_tail)
+                target += g8[:, :, dt, dh, dw]
 
 
 def _check_conv_args(x, spec, weights, bias):
@@ -172,19 +216,18 @@ def _check_conv_args(x, spec, weights, bias):
 def conv3d_forward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
                    bias: np.ndarray | None = None,
                    counter: MacCounter | None = None) -> np.ndarray:
-    """Cross-correlate ``x`` with ``weights``: window gather plus one GEMM."""
+    """Cross-correlate ``x`` with ``weights``: window gather plus one GEMM
+    per sample, in the dtype of ``x``."""
     _check_conv_args(x, spec, weights, bias)
-    n, _, to, ho, wo = conv_output_shape(x.shape, spec)
-    xp = _pad5(x, spec.padding).astype(np.float64, copy=False)
-    w64 = weights.astype(np.float64, copy=False)
-    cols = _im2col(xp, spec.kernel, spec.stride, (to, ho, wo))
-    out = cols @ w64.reshape(spec.out_channels, -1).T
+    n, co, to, ho, wo = conv_output_shape(x.shape, spec)
+    cols = _windows(_pad5(x, spec.padding), spec.kernel, spec.stride,
+                    (to, ho, wo))
+    y = _gemm(weights.reshape(co, -1).astype(x.dtype, copy=False), cols)
     if counter is not None:
-        counter.add(cols.shape[0] * cols.shape[1] * spec.out_channels)
+        counter.add(n * cols.shape[1] * cols.shape[2] * co)
     if bias is not None:
-        out = out + bias.astype(np.float64)[None, :]
-    y = out.reshape(n, to, ho, wo, spec.out_channels).transpose(0, 4, 1, 2, 3)
-    return np.ascontiguousarray(y, dtype=x.dtype)
+        y += bias.astype(x.dtype)[:, None]
+    return y.reshape(n, co, to, ho, wo)
 
 
 def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
@@ -193,37 +236,32 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
 
     Returns ``(grad_x, grad_weights, grad_bias)``; ``grad_bias`` is always
     computed (callers for bias-free layers just drop it), and ``grad_x`` is
-    None when the caller declares it unused.
+    None when the caller declares it unused.  ``grad_x`` has the dtype of
+    ``x``, the other two that of ``weights``.
     """
     _check_conv_args(x, spec, weights, None)
     out_shape = conv_output_shape(x.shape, spec)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {out_shape}")
-    n, _, to, ho, wo = out_shape
-    xp = _pad5(x, spec.padding).astype(np.float64, copy=False)
-    go_mat = np.ascontiguousarray(
-        grad_out.transpose(0, 2, 3, 4, 1), dtype=np.float64).reshape(
-            n * to * ho * wo, spec.out_channels)
-    cols = _im2col(xp, spec.kernel, spec.stride, (to, ho, wo))
-    gw = (go_mat.T @ cols).reshape(spec.weight_shape)
-    gb = go_mat.sum(axis=0)
+    n, co, to, ho, wo = out_shape
+    xp = _pad5(x, spec.padding)
+    cols = _windows(xp, spec.kernel, spec.stride, (to, ho, wo))
+    go = grad_out.astype(x.dtype, copy=False).reshape(n, co, -1)
+    gw = (go @ cols.transpose(0, 2, 1)).sum(axis=0)
+    gb = go.sum(axis=(0, 2), dtype=np.float64)
     gx = None
     if need_input_grad:
-        w64 = weights.astype(np.float64, copy=False)
-        gcols = go_mat @ w64.reshape(spec.out_channels, -1)
-        gxp = np.zeros(xp.shape, dtype=np.float64)
-        _col2im_add(gxp, gcols, spec.kernel, spec.stride, (to, ho, wo))
-        pt, ph, pw = spec.padding
-        _, _, t, h, w = x.shape
-        gx = gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + w].astype(
-            x.dtype, copy=False)
-    return (gx, gw.astype(weights.dtype, copy=False),
+        w = weights.reshape(co, -1).astype(x.dtype, copy=False)
+        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        _col2im_add(gxp, w.T @ go, spec.kernel, spec.stride, (to, ho, wo))
+        gx = _crop5(gxp, spec.padding, x.shape)
+    return (gx, gw.reshape(spec.weight_shape).astype(weights.dtype, copy=False),
             gb.astype(weights.dtype, copy=False))
 
 
 def conv_temporal_forward(x, spec: ConvLayerSpec, weights, bias=None,
                           counter: MacCounter | None = None) -> np.ndarray:
-    """Forward for a (k,1,1) kernel; degenerate spatial axes skip their offsets."""
+    """Check that the kernel is ``(k, 1, 1)``, then run :func:`conv3d_forward`."""
     if not spec.is_temporal:
         raise ShapeError(f"temporal path needs a (k,1,1) kernel, got {spec.kernel}")
     return conv3d_forward(x, spec, weights, bias, counter)
@@ -231,7 +269,7 @@ def conv_temporal_forward(x, spec: ConvLayerSpec, weights, bias=None,
 
 def conv_spatial_forward(x, spec: ConvLayerSpec, weights, bias=None,
                          counter: MacCounter | None = None) -> np.ndarray:
-    """Forward for a (1,k,k) kernel; the degenerate time axis skips its offsets."""
+    """Check that the kernel is ``(1, k, k)``, then run :func:`conv3d_forward`."""
     if not spec.is_spatial:
         raise ShapeError(f"spatial path needs a (1,k,k) kernel, got {spec.kernel}")
     return conv3d_forward(x, spec, weights, bias, counter)
@@ -272,17 +310,16 @@ def maxpool3d_backward(grad_out: np.ndarray, argmax: np.ndarray, x_shape,
     kt, kh, kw = kernel
     to, ho, wo = grad_out.shape[2:]
     pt, ph, pw = padding
-    gxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    go = grad_out.astype(np.float64, copy=False)
+    gxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, w + 2 * pw),
+                   dtype=grad_out.dtype)
     flat = 0
     for dt in range(kt):
         for dh in range(kh):
             for dw in range(kw):
                 gs = _offset_slice(gxp, (dt, dh, dw), stride, (to, ho, wo))
-                gs += np.where(argmax == flat, go, 0.0)
+                np.add(gs, grad_out, out=gs, where=argmax == flat)
                 flat += 1
-    return gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + w].astype(
-        grad_out.dtype, copy=False)
+    return _crop5(gxp, padding, x_shape)
 
 
 def avgpool_spatial(x: np.ndarray) -> np.ndarray:
@@ -309,6 +346,20 @@ def avgpool_temporal_backward(grad_out: np.ndarray, t: int) -> np.ndarray:
     return np.broadcast_to(grad_out / t, shape).copy()
 
 
+def _channel_vector(v: np.ndarray, dtype) -> np.ndarray:
+    """A per-channel vector cast to ``dtype``, shaped to broadcast over NCTHW."""
+    return v.astype(dtype, copy=False).reshape(1, -1, 1, 1, 1)
+
+
+def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sum of ``a`` (or of ``a * b``), accumulated in float64."""
+    n, c = a.shape[:2]
+    if b is None:
+        return a.reshape(n, c, -1).sum(axis=(0, 2), dtype=np.float64)
+    return np.einsum("ncp,ncp->c", a.reshape(n, c, -1), b.reshape(n, c, -1),
+                     dtype=np.float64)
+
+
 def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray,
                       mode: str = "train", momentum: float = BN_MOMENTUM,
@@ -317,7 +368,8 @@ def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
 
     Train mode normalizes with batch statistics and returns running stats moved
     by an exponential moving average; eval mode normalizes with the running
-    stats unchanged.  Returns ``(y, new_mean, new_var, cache)``.
+    stats unchanged.  Returns ``(y, new_mean, new_var, cache)``; ``y`` has the
+    dtype of ``x``, the running stats that of ``running_mean``/``running_var``.
     """
     check_tensor5(x)
     c = x.shape[1]
@@ -325,44 +377,47 @@ def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                       ("running_mean", running_mean), ("running_var", running_var)):
         if arr.shape != (c,):
             raise ShapeError(f"{name} shape {arr.shape}, expected ({c},)")
-    x64 = x.astype(np.float64, copy=False)
     if mode == "train":
-        mean = x64.mean(axis=(0, 2, 3, 4))
-        var = x64.var(axis=(0, 2, 3, 4))
-        new_mean = (1 - momentum) * running_mean + momentum * mean
-        new_var = (1 - momentum) * running_var + momentum * var
+        m = x.size // c
+        mean = _channel_sum(x) / m
+        xhat = x - _channel_vector(mean, x.dtype)
+        var = _channel_sum(xhat, xhat) / m
+        new_mean = ((1 - momentum) * running_mean + momentum * mean).astype(
+            running_mean.dtype, copy=False)
+        new_var = ((1 - momentum) * running_var + momentum * var).astype(
+            running_var.dtype, copy=False)
     elif mode == "eval":
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
         new_mean, new_var = running_mean, running_var
+        xhat = x - _channel_vector(mean, x.dtype)
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x64 - mean[None, :, None, None, None]) * inv_std[None, :, None, None, None]
-    y = scale[None, :, None, None, None] * xhat + shift[None, :, None, None, None]
+    xhat *= _channel_vector(inv_std, x.dtype)
+    y = xhat * _channel_vector(scale, x.dtype)
+    y += _channel_vector(shift, x.dtype)
     cache = (xhat, inv_std, mode)
-    return y.astype(x.dtype, copy=False), new_mean, new_var, cache
+    return y, new_mean, new_var, cache
 
 
 def batchnorm_backward(cache, scale: np.ndarray, grad_out: np.ndarray):
-    """Gradients w.r.t. input, scale, and shift for either mode."""
+    """Gradients w.r.t. input, scale, and shift for either mode.
+
+    ``grad_x`` has the dtype of the normalized activations, the scale and
+    shift gradients that of ``scale``.
+    """
     xhat, inv_std, mode = cache
-    go = grad_out.astype(np.float64, copy=False)
-    gscale = (go * xhat).sum(axis=(0, 2, 3, 4))
-    gshift = go.sum(axis=(0, 2, 3, 4))
-    gxhat = go * scale[None, :, None, None, None]
+    go = grad_out.astype(xhat.dtype, copy=False)
+    gscale = _channel_sum(go, xhat)
+    gshift = _channel_sum(go)
+    gain = scale * inv_std
+    gx = go * _channel_vector(gain, xhat.dtype)
     if mode == "train":
-        m = xhat.shape[0] * xhat.shape[2] * xhat.shape[3] * xhat.shape[4]
-        mean_g = gxhat.sum(axis=(0, 2, 3, 4)) / m
-        mean_gx = (gxhat * xhat).sum(axis=(0, 2, 3, 4)) / m
-        gx = inv_std[None, :, None, None, None] * (
-            gxhat
-            - mean_g[None, :, None, None, None]
-            - xhat * mean_gx[None, :, None, None, None])
-    else:
-        gx = gxhat * inv_std[None, :, None, None, None]
-    return (gx.astype(grad_out.dtype, copy=False),
-            gscale.astype(scale.dtype, copy=False),
+        m = xhat.size // xhat.shape[1]
+        gx -= _channel_vector(gain * gshift / m, xhat.dtype)
+        gx -= xhat * _channel_vector(gain * gscale / m, xhat.dtype)
+    return (gx, gscale.astype(scale.dtype, copy=False),
             gshift.astype(scale.dtype, copy=False))
 
 
@@ -381,21 +436,22 @@ def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"linear: x {x.shape} incompatible with W {weight.shape}")
     if bias is not None and bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear bias shape {bias.shape}")
-    y = x.astype(np.float64, copy=False) @ weight.astype(np.float64, copy=False).T
+    y = _gemm(x, weight.astype(x.dtype, copy=False).T)
     if bias is not None:
-        y = y + bias.astype(np.float64)
+        y += bias.astype(x.dtype)
     if counter is not None:
         counter.add(x.shape[0] * weight.shape[0] * weight.shape[1])
-    return y.astype(x.dtype, copy=False)
+    return y
 
 
 def linear_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray):
-    go = grad_out.astype(np.float64, copy=False)
-    gx = go @ weight.astype(np.float64, copy=False)
-    gw = go.T @ x.astype(np.float64, copy=False)
-    gb = go.sum(axis=0)
-    return (gx.astype(x.dtype, copy=False),
-            gw.astype(weight.dtype, copy=False),
+    """``(grad_x, grad_weight, grad_bias)``; ``grad_x`` has the dtype of ``x``,
+    the other two that of ``weight``."""
+    go = grad_out.astype(x.dtype, copy=False)
+    gx = go @ weight.astype(x.dtype, copy=False)
+    gw = go.T @ x
+    gb = go.sum(axis=0, dtype=np.float64)
+    return (gx, gw.astype(weight.dtype, copy=False),
             gb.astype(weight.dtype, copy=False))
 
 

@@ -36,6 +36,11 @@ def tensor_to_bytes(arr: np.ndarray) -> bytes:
 
 
 def tensor_from_stream(stream: io.BufferedIOBase) -> np.ndarray:
+    """Read one tensor from a seekable stream, leaving it after the payload.
+
+    Extents are checked before any payload byte is read: a zero extent, or a
+    payload longer than what is left in the stream, is a ``TensorFileError``.
+    """
     raw = stream.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise TensorFileError("truncated header")
@@ -47,11 +52,17 @@ def tensor_from_stream(stream: io.BufferedIOBase) -> np.ndarray:
     if code not in _DTYPE_BY_CODE:
         raise TensorFileError(f"unknown dtype code {code}")
     dtype = _DTYPE_BY_CODE[code]
-    count = n * c * t * h * w
-    payload = stream.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
-        raise TensorFileError("truncated payload")
-    data = np.frombuffer(payload, dtype=dtype).reshape(n, c, t, h, w)
+    shape = (n, c, t, h, w)
+    if 0 in shape:
+        raise TensorFileError(f"zero extent in shape {shape}")
+    nbytes = n * c * t * h * w * dtype.itemsize
+    start = stream.tell()
+    remaining = stream.seek(0, io.SEEK_END) - start
+    stream.seek(start)
+    if nbytes > remaining:
+        raise TensorFileError(f"truncated payload: shape {shape} needs "
+                              f"{nbytes} bytes, {remaining} remain")
+    data = np.frombuffer(stream.read(nbytes), dtype=dtype).reshape(shape)
     return data.astype(dtype.newbyteorder("="), copy=True)
 
 

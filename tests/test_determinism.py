@@ -1,0 +1,59 @@
+"""Forward outputs do not depend on the BLAS thread count.
+
+Each run happens in a fresh interpreter, because OpenBLAS reads its thread
+count once, when numpy is first imported.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dmsn
+
+SRC = str(Path(dmsn.__file__).resolve().parents[1])
+
+# Hashes every array a micro eval forward caches, plus the scores, for float32
+# clips and float64 parameters (the init_params default).
+FORWARD_DIGEST = """
+import hashlib
+from fractions import Fraction
+import numpy as np
+from dmsn.blocks import RunState
+from dmsn.model import ModelConfig, build_model, forward_with_state, init_params
+
+def arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from arrays(item)
+
+clip = np.random.default_rng(3).normal(size=(2, 3, 8, 32, 32)).astype(np.float32)
+for kind in ("dmsn", "dmsn-a", "dmsn-c"):
+    spec = build_model(ModelConfig(model_kind=kind, clip_len=8, input_size=(32, 32),
+                                   width_multiplier=Fraction(1, 8)))
+    state = RunState(mode="eval", cache={})
+    scores = forward_with_state(spec, init_params(spec, seed=0), clip, state)
+    digest = hashlib.sha256(scores.tobytes())
+    for key in sorted(state.cache):
+        for arr in arrays(state.cache[key]):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    print(kind, scores.dtype, digest.hexdigest())
+"""
+
+
+def _run_forward(threads: int) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", FORWARD_DIGEST], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_eval_forward_bytes_equal_at_one_and_two_threads():
+    one, two = _run_forward(1), _run_forward(2)
+    assert one.count("float32") == 3
+    assert one == two

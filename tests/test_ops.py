@@ -75,6 +75,18 @@ class TestConvForward:
                     x.shape[2:], spec.kernel, spec.stride, spec.padding)):
                 assert y.shape[2 + ax] == (size + 2 * p - k) // s + 1
 
+    def test_row_per_position_windows_give_the_same_conv(self):
+        rng = np.random.default_rng(12)
+        spec = ConvLayerSpec(2, 3, (2, 3, 3), (1, 2, 2), (1, 1, 0))
+        x = rng.normal(size=(2, 2, 4, 7, 6))
+        w = rng.normal(size=spec.weight_shape)
+        n, co, to, ho, wo = ops.conv_output_shape(x.shape, spec)
+        cols = ops._im2col(ops._pad5(x, spec.padding), spec.kernel,
+                           spec.stride, (to, ho, wo))
+        y = (cols @ w.reshape(co, -1).T).reshape(n, to, ho, wo, co)
+        np.testing.assert_allclose(y.transpose(0, 4, 1, 2, 3),
+                                   ops.conv3d_forward(x, spec, w), atol=1e-12)
+
 
 class TestSpecializedPaths:
     def test_temporal_matches_general(self):
@@ -168,6 +180,71 @@ class TestConvBackward:
         w = rng.normal(size=spec.weight_shape)
         gx, gw, _ = ops.conv3d_backward(x, spec, w, x, need_input_grad=False)
         assert gx is None and gw.shape == spec.weight_shape
+
+
+# float32 activations with float64 weights, as the benchmark runs the model:
+# stride 2 with padding and a batch of 2, a depth of 540 that crosses the GEMM
+# split, pointwise convs (the direct GEMM and a strided gather) and the
+# temporal and spatial shapes the blocks use.
+FLOAT32_CASES = [
+    (ConvLayerSpec(3, 5, (3, 3, 3), (2, 2, 2), (1, 1, 1)), (2, 3, 7, 9, 8)),
+    (ConvLayerSpec(20, 4, (3, 3, 3), (1, 1, 1), (1, 1, 1)), (2, 20, 4, 6, 5)),
+    (ConvLayerSpec(6, 4, (1, 1, 1)), (2, 6, 3, 4, 4)),
+    (ConvLayerSpec(6, 4, (1, 1, 1), (1, 2, 2)), (2, 6, 3, 5, 5)),
+    (ConvLayerSpec(4, 3, (3, 1, 1), padding=(1, 0, 0)), (2, 4, 5, 3, 3)),
+    (ConvLayerSpec(4, 3, (1, 3, 3), padding=(0, 1, 1)), (1, 4, 2, 6, 5)),
+]
+
+
+class TestFloat32Compute:
+    @pytest.mark.parametrize("spec,x_shape", FLOAT32_CASES)
+    def test_forward_matches_oracle(self, spec, x_shape):
+        rng = np.random.default_rng(sum(x_shape))
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=spec.weight_shape)
+        y = ops.conv3d_forward(x, spec, w)
+        want = naive_conv3d(x, spec, w)
+        assert y.dtype == np.float32 and y.shape == want.shape
+        np.testing.assert_allclose(y, want, rtol=0,
+                                   atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("spec,x_shape", FLOAT32_CASES)
+    def test_backward_matches_float64_kernel(self, spec, x_shape):
+        rng = np.random.default_rng(sum(x_shape) + 1)
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=spec.weight_shape)
+        go = rng.normal(size=ops.conv_output_shape(x_shape, spec))
+        gx, gw, gb = ops.conv3d_backward(x.astype(np.float32), spec, w,
+                                         go.astype(np.float32))
+        want = ops.conv3d_backward(x, spec, w, go)
+        assert gx.dtype == np.float32
+        assert gw.dtype == gb.dtype == np.float64
+        for got, ref in zip((gx, gw, gb), want):
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-5 * np.abs(ref).max())
+
+    def test_batchnorm_matches_float64(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(loc=2.0, size=(2, 3, 4, 5, 5))
+        go = rng.normal(size=x.shape)
+        scale, shift = rng.uniform(0.5, 1.5, 3), rng.normal(size=3)
+        stats = (np.zeros(3), np.ones(3))
+        for mode in ("train", "eval"):
+            y, mean, var, cache = ops.batchnorm_forward(
+                x.astype(np.float32), scale, shift, *stats, mode)
+            grads = ops.batchnorm_backward(cache, scale, go.astype(np.float32))
+            y64, mean64, var64, cache64 = ops.batchnorm_forward(
+                x, scale, shift, *stats, mode)
+            want = ops.batchnorm_backward(cache64, scale, go)
+            assert y.dtype == grads[0].dtype == np.float32
+            assert mean.dtype == var.dtype == np.float64
+            assert grads[1].dtype == grads[2].dtype == np.float64
+            np.testing.assert_allclose(y, y64, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(mean, mean64, rtol=1e-6)
+            np.testing.assert_allclose(var, var64, rtol=1e-5)
+            for got, ref in zip(grads, want):
+                np.testing.assert_allclose(got, ref, rtol=0,
+                                           atol=1e-5 * np.abs(ref).max())
 
 
 class TestPooling:

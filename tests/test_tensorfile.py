@@ -1,5 +1,7 @@
 """Binary tensor container round trips and failure modes."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,19 @@ def test_non_5d_rejected():
 def test_unsupported_dtype_rejected():
     with pytest.raises(tensorfile.TensorFileError):
         tensorfile.tensor_to_bytes(np.zeros((1, 1, 1, 1, 1), dtype=np.int32))
+
+
+def _header(*extents) -> bytes:
+    return tensorfile._HEADER.pack(b"DMSN", 1, 0, *extents)
+
+
+def test_huge_extents_rejected_before_payload():
+    stream = io.BytesIO(_header(*[2 ** 32 - 1] * 5) + b"\0" * 64)
+    with pytest.raises(tensorfile.TensorFileError, match="truncated"):
+        tensorfile.tensor_from_stream(stream)
+    assert stream.tell() == tensorfile._HEADER.size
+
+
+def test_zero_extent_rejected():
+    with pytest.raises(tensorfile.TensorFileError, match="zero extent"):
+        tensorfile.tensor_from_bytes(_header(0, 1, 1, 1, 1))
