@@ -9,11 +9,12 @@ moments and gradient sums, pooling means) accumulate in float64 without
 upcasting the tensor.  Parameter gradients and running statistics come back
 in the parameter dtype.
 
-Forward GEMMs split their reduction axis at fixed offsets (``_GEMM_DEPTH``)
-and add the pieces in order, so a float32 forward pass gives the same bytes
-at 1 and 2 BLAS threads.  (Float64 GEMMs on OpenBLAS 0.3.31 can differ
-between thread counts at any depth.)  All functions are pure with respect to
-their array arguments.
+A conv forward reduces one temporal tap per GEMM, each GEMM splits its
+reduction axis at fixed offsets (``_GEMM_DEPTH``), and the pieces are added
+in order, so a float32 forward pass gives the same bytes at 1 and 2 BLAS
+threads.  (Float64 GEMMs on OpenBLAS 0.3.31 can differ between thread counts
+at any depth.)  All functions are pure with respect to their array
+arguments.
 """
 
 from __future__ import annotations
@@ -163,17 +164,26 @@ def _windows(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
     Returns ``(n, c*kt*kh*kw, to*ho*wo)``: rows run over the window, matching
     a ``(out_c, c*kt*kh*kw)`` reshaped kernel, and columns over the output
     positions, so ``W @ cols[i]`` is sample ``i``'s output already in NCTHW
-    order.  For a stride-1 unpadded pointwise conv the result is a view of the
-    input, not a copy.
+    order.  For a stride-1 unpadded pointwise conv the result is a view of a
+    contiguous input, not a copy.
+
+    The conv kernels call it with kernel ``(1, kh, kw)``, stride
+    ``(1, sh, sw)`` and every padded frame as output time, so each frame's
+    spatial windows are gathered once and all temporal taps read them (see
+    :func:`_taps`).  Temporal convs (``kh = kw = 1``, no spatial padding,
+    stride 1) then gather nothing.
     """
+    xp = np.ascontiguousarray(xp)
     n, c = xp.shape[:2]
     kt, kh, kw = kernel
     st, sh, sw = stride
     to, ho, wo = out_tail
     sn, sc, s0, s1, s2 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, (n, c, kt, kh, kw, to, ho, wo),
-        (sn, sc, s0, s1, s2, s0 * st, s1 * sh, s2 * sw), writeable=False)
+    # The view np.lib.stride_tricks.as_strided would make, at a fifth of its
+    # cost (~1.5 vs ~8 us), which counts on the small convs of a desk step.
+    view = np.ndarray((n, c, kt, kh, kw, to, ho, wo), xp.dtype, xp, 0,
+                      (sn, sc, s0, s1, s2, s0 * st, s1 * sh, s2 * sw))
+    view.flags.writeable = False
     return view.reshape(n, c * kt * kh * kw, to * ho * wo)
 
 
@@ -186,6 +196,26 @@ def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
     """
     cols = _windows(xp, kernel, stride, out_tail)
     return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
+
+
+def _taps(xp: np.ndarray, spec: ConvLayerSpec, out_tail) -> np.ndarray:
+    """Gather the ``(c*kh*kw)`` spatial windows of every padded frame once and
+    return what each temporal tap meets in them, as
+    ``(kt, n, c*kh*kw, to*ho*wo)``: tap ``dt`` reads frames ``dt, dt + st,
+    ..., dt + st*(to-1)``.  At temporal stride 1 this is a view of the one
+    gather."""
+    n, c, t_pad = xp.shape[:3]
+    kt, kh, kw = spec.kernel
+    st, sh, sw = spec.stride
+    to, ho, wo = out_tail
+    # Contiguous, as the view below needs; only degenerate geometries copy.
+    cols = np.ascontiguousarray(
+        _windows(xp, (1, kh, kw), (1, sh, sw), (t_pad, ho, wo)))
+    sn, sr, _ = cols.strides
+    sf = ho * wo * cols.itemsize                # one frame
+    view = np.ndarray((kt, n, c * kh * kw, to, ho * wo), cols.dtype, cols, 0,
+                      (sf, sn, sr, sf * st, cols.itemsize))
+    return view.reshape(kt, n, c * kh * kw, to * ho * wo)
 
 
 def _col2im_add(gxp: np.ndarray, gcols: np.ndarray, kernel, stride, out_tail):
@@ -216,15 +246,24 @@ def _check_conv_args(x, spec, weights, bias):
 def conv3d_forward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
                    bias: np.ndarray | None = None,
                    counter: MacCounter | None = None) -> np.ndarray:
-    """Cross-correlate ``x`` with ``weights``: window gather plus one GEMM
-    per sample, in the dtype of ``x``."""
+    """Cross-correlate ``x`` with ``weights``, in the dtype of ``x``.
+
+    Lowered per temporal tap: the spatial windows of every padded frame are
+    gathered once (:func:`_taps`), tap ``dt`` is one GEMM of
+    ``weights[:, :, dt]`` with the frames it meets, and the taps' products
+    are added in tap order.  At temporal stride 1 each tap is a view of the
+    one gather.
+    """
     _check_conv_args(x, spec, weights, bias)
     n, co, to, ho, wo = conv_output_shape(x.shape, spec)
-    cols = _windows(_pad5(x, spec.padding), spec.kernel, spec.stride,
-                    (to, ho, wo))
-    y = _gemm(weights.reshape(co, -1).astype(x.dtype, copy=False), cols)
+    taps = _taps(_pad5(x, spec.padding), spec, (to, ho, wo))
+    w = weights.astype(x.dtype, copy=False).transpose(2, 0, 1, 3, 4).reshape(
+        len(taps), co, -1)                      # w[dt] = weights[:, :, dt]
+    y = _gemm(w[0], taps[0])
+    for dt in range(1, len(taps)):
+        y += _gemm(w[dt], taps[dt])
     if counter is not None:
-        counter.add(n * cols.shape[1] * cols.shape[2] * co)
+        counter.add(n * spec.weight_count * to * ho * wo)
     if bias is not None:
         y += bias.astype(x.dtype)[:, None]
     return y.reshape(n, co, to, ho, wo)
@@ -238,16 +277,28 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     computed (callers for bias-free layers just drop it), and ``grad_x`` is
     None when the caller declares it unused.  ``grad_x`` has the dtype of
     ``x``, the other two that of ``weights``.
+
+    The weight gradient is lowered per temporal tap like the forward: with
+    ``tap`` what tap ``dt`` meets in the one gather of :func:`_taps`,
+    ``grad_weights[:, :, dt]`` is ``sum_n grad_out[n] @ tap[n].T``.  The
+    input gradient is one GEMM, ``weights.T @ grad_out`` over all taps, that
+    :func:`_col2im_add` scatters onto the padded input gradient tap by tap;
+    per-tap GEMMs would triple the GEMM calls of the small temporal convs of
+    a desk step.
     """
     _check_conv_args(x, spec, weights, None)
     out_shape = conv_output_shape(x.shape, spec)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {out_shape}")
     n, co, to, ho, wo = out_shape
+    kt, kh, kw = spec.kernel
     xp = _pad5(x, spec.padding)
-    cols = _windows(xp, spec.kernel, spec.stride, (to, ho, wo))
+    taps = _taps(xp, spec, (to, ho, wo))
     go = grad_out.astype(x.dtype, copy=False).reshape(n, co, -1)
-    gw = (go @ cols.transpose(0, 2, 1)).sum(axis=0)
+    # taps @ go.T, the transpose of go @ taps.T, puts the window rows on the
+    # GEMM's long side: twice as fast for the stem.
+    gw = (taps @ go.transpose(0, 2, 1)).sum(axis=1)      # (kt, c*kh*kw, co)
+    gw = gw.reshape(kt, -1, kh, kw, co).transpose(4, 1, 0, 2, 3)
     gb = go.sum(axis=(0, 2), dtype=np.float64)
     gx = None
     if need_input_grad:
@@ -255,7 +306,7 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
         gxp = np.zeros(xp.shape, dtype=x.dtype)
         _col2im_add(gxp, w.T @ go, spec.kernel, spec.stride, (to, ho, wo))
         gx = _crop5(gxp, spec.padding, x.shape)
-    return (gx, gw.reshape(spec.weight_shape).astype(weights.dtype, copy=False),
+    return (gx, gw.astype(weights.dtype, order="C"),
             gb.astype(weights.dtype, copy=False))
 
 

@@ -357,7 +357,7 @@ def load_manifest(path, load_tensors: bool = True) -> ClipDataset:
     path = os.fspath(path)
     base = os.path.dirname(path) or "."
     clips = []
-    clip_len = None
+    clip_len = frame = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -377,12 +377,22 @@ def load_manifest(path, load_tensors: bool = True) -> ClipDataset:
             data = None
             if load_tensors:
                 tensor = tensorfile.read_tensor(os.path.join(base, tensor_file))
+                n, c, t, h, w = tensor.shape
+                if n != 1:
+                    raise ManifestError(f"line {lineno}: clip tensor holds {n} "
+                                        f"samples, expected 1")
+                if c != 3:
+                    raise ManifestError(f"line {lineno}: clip tensor has {c} "
+                                        f"channels, expected 3")
                 data = tensor[0]
                 if clip_len is None:
-                    clip_len = data.shape[1]
-                elif data.shape[1] != clip_len:
+                    clip_len, frame = t, (h, w)
+                elif t != clip_len:
                     raise ManifestError(f"line {lineno}: clip length "
-                                        f"{data.shape[1]} != {clip_len}")
+                                        f"{t} != {clip_len}")
+                elif (h, w) != frame:
+                    raise ManifestError(f"line {lineno}: frame size {(h, w)} "
+                                        f"!= {frame}")
             clips.append(Clip(subject, video, index, label, data=data,
                               tensor_file=tensor_file))
     return ClipDataset(clip_len or 0, clips)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmsn import ops
+from dmsn.gradsuite import _conv_case
 from dmsn.ops import ConvLayerSpec, GeometryError, ShapeError
 
 from helpers import naive_conv3d, random_conv_case
@@ -173,6 +174,12 @@ class TestConvBackward:
             fd /= 2 * eps
             assert abs(fd - grad[pick]) / max(abs(fd), 1e-12) < 1e-6
 
+    def test_temporal_stride_matches_finite_differences(self):
+        spec = ConvLayerSpec(2, 3, (3, 3, 2), (2, 2, 1), (1, 1, 0),
+                             has_bias=True)
+        report = _conv_case(5, spec, (2, 2, 7, 6, 5), probe_count=24)
+        assert report.passed, report.summary()
+
     def test_skipping_input_grad_returns_none(self):
         rng = np.random.default_rng(3)
         spec = ConvLayerSpec(1, 1, (1, 1, 1))
@@ -183,12 +190,15 @@ class TestConvBackward:
 
 
 # float32 activations with float64 weights, as the benchmark runs the model:
-# stride 2 with padding and a batch of 2, a depth of 540 that crosses the GEMM
-# split, pointwise convs (the direct GEMM and a strided gather) and the
-# temporal and spatial shapes the blocks use.
+# stride 2 with padding and a batch of 2, a per-tap depth of 180 (540 in all),
+# pointwise convs (the direct GEMM and a strided gather), the temporal and
+# spatial shapes the blocks use, a micro stem (7x7x7, seven taps over one
+# gather) and a temporal stride of 2, whose taps are strided copies.
 FLOAT32_CASES = [
     (ConvLayerSpec(3, 5, (3, 3, 3), (2, 2, 2), (1, 1, 1)), (2, 3, 7, 9, 8)),
     (ConvLayerSpec(20, 4, (3, 3, 3), (1, 1, 1), (1, 1, 1)), (2, 20, 4, 6, 5)),
+    (ConvLayerSpec(3, 4, (7, 7, 7), (1, 2, 2), (3, 3, 3)), (1, 3, 8, 12, 10)),
+    (ConvLayerSpec(2, 3, (3, 3, 2), (2, 2, 1), (1, 1, 0)), (2, 2, 7, 6, 5)),
     (ConvLayerSpec(6, 4, (1, 1, 1)), (2, 6, 3, 4, 4)),
     (ConvLayerSpec(6, 4, (1, 1, 1), (1, 2, 2)), (2, 6, 3, 5, 5)),
     (ConvLayerSpec(4, 3, (3, 1, 1), padding=(1, 0, 0)), (2, 4, 5, 3, 3)),

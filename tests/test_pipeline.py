@@ -10,6 +10,7 @@ from dmsn.pipeline import (Clip, ClipDataset, DatasetError, ManifestError,
                            mean_frame_displacement, metric_mae, metric_mse,
                            metric_rmse, parse_synth_config, quantize_pspi,
                            save_manifest, segment_clips, synth_generate)
+from dmsn.tensorfile import write_tensor
 
 
 def make_video(frames, subject="s1", video="v1", label=2.0, frame_labels=None):
@@ -264,6 +265,33 @@ class TestManifest:
         path.write_text("s1\tv1\tzero\tx.dmsn\t1.0\n")
         with pytest.raises(ManifestError, match="line 1"):
             load_manifest(path, load_tensors=False)
+
+
+    def _manifest_of(self, tmp_path, shapes):
+        """A manifest whose line ``i`` points at a zero tensor of ``shapes[i]``."""
+        lines = []
+        for i, shape in enumerate(shapes):
+            write_tensor(tmp_path / f"c{i}.dmsn", np.zeros(shape, np.float32))
+            lines.append(f"s1\tv1\t{i}\tc{i}.dmsn\t1.0\n")
+        path = tmp_path / "m.tsv"
+        path.write_text("".join(lines))
+        return path
+
+    def test_multi_sample_tensor_rejected(self, tmp_path):
+        path = self._manifest_of(tmp_path, [(1, 3, 4, 8, 8), (2, 3, 4, 8, 8)])
+        with pytest.raises(ManifestError, match="line 2: .*2 samples"):
+            load_manifest(path)
+
+    def test_channel_count_other_than_three_rejected(self, tmp_path):
+        path = self._manifest_of(tmp_path, [(1, 1, 4, 8, 8)])
+        with pytest.raises(ManifestError, match="line 1: .*1 channels"):
+            load_manifest(path)
+
+    def test_frame_size_differing_from_first_clip_rejected(self, tmp_path):
+        path = self._manifest_of(tmp_path, [(1, 3, 4, 8, 8), (1, 3, 4, 8, 8),
+                                            (1, 3, 4, 8, 6)])
+        with pytest.raises(ManifestError, match="line 3: frame size"):
+            load_manifest(path)
 
 
 class TestVideoRecordValidation:
