@@ -22,7 +22,8 @@ import numpy as np
 
 from .ops import (ConvLayerSpec, MacCounter, ShapeError, batchnorm_backward,
                   batchnorm_forward, concat_channels, conv3d_backward,
-                  conv3d_forward, relu_backward, relu_forward, split_channels)
+                  conv3d_forward, conv_output_shape, relu_backward,
+                  relu_forward, split_channels)
 
 VARIANTS = ("A", "B", "C")
 TEMPORAL, SPATIAL = "t", "s"
@@ -164,6 +165,19 @@ def block_plan(spec: BlockSpec, prefix: str = "") -> list[tuple]:
     if spec.shortcut is not None:
         plan.append((f"{prefix}proj", spec.shortcut, False, INPUT))
     return plan
+
+
+def block_shapes(spec: BlockSpec, x_shape, prefix: str = "") -> dict:
+    """Output shape of every plan unit, by name, for block input ``x_shape``."""
+    shapes = {INPUT: x_shape}
+    for name, conv, _, source in block_plan(spec, prefix):
+        if isinstance(source, tuple):
+            n, _, t, h, w = shapes[source[0]]
+            in_shape = (n, sum(shapes[s][1] for s in source), t, h, w)
+        else:
+            in_shape = shapes[source]
+        shapes[name] = conv_output_shape(in_shape, conv)
+    return shapes
 
 
 def _shortcut_source(spec: BlockSpec, prefix: str = "") -> str:

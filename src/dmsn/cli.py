@@ -21,7 +21,7 @@ from .blocks import describe_block
 from .complexity import count_flops, emit_cost_table
 from .gradsuite import run_gradient_suites
 from .model import (ConfigError, ModelConfig, build_model, load_checkpoint,
-                    save_checkpoint)
+                    model_plan, save_checkpoint)
 from .ops import GeometryError, ShapeError
 from .pipeline import (DatasetError, ManifestError, SynthConfig,
                        aggregate_video_score, format_synth_config,
@@ -58,7 +58,7 @@ def _bool(text) -> bool:
         return True
     if text.lower() in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"not a boolean: {text!r}")
+    raise ValueError("not a boolean")
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,10 @@ def _resolve(ns: argparse.Namespace, opts: tuple[Opt, ...]) -> dict:
         raw = getattr(ns, dest)
         if raw is None and dest in overlay:
             raw = overlay[dest]
-        values[dest] = opt.default if raw is None else opt.parse(raw)
+        try:
+            values[dest] = opt.default if raw is None else opt.parse(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"{opt.flag}: cannot use {raw!r}: {exc}") from None
     return values
 
 
@@ -223,9 +226,9 @@ def cmd_describe(values: dict) -> int:
     lines = [f"model {config.model_kind}  frames {config.clip_len}  "
              f"input {config.input_size[0]}x{config.input_size[1]}  "
              f"branches {config.branch_count}  width {config.width_multiplier}"]
-    extents = {row.layer_id: row.out_extents
-               for row in count_flops(spec).rows}
-    extents["input"] = (3, config.clip_len) + config.input_size
+    plan = model_plan(spec)
+    shapes = {name: out_shape for name, _, _, _, out_shape in plan}
+    shapes["input"] = plan[0][3]
     stem = spec.conv1
     kernel, stride, padding = spec.pool
     # a cubic pool prints each geometry triple as one number
@@ -239,13 +242,12 @@ def cmd_describe(values: dict) -> int:
         "pool": f"max {_kernel(kernel)} s{stride} p{padding}",
     }
     for name, detail in details.items():
-        c, t, h, w = extents[name]
+        _, c, t, h, w = shapes[name]
         lines.append(f"{name:<10} {detail:<28} {c:>5}  {t}x{h}x{w}")
-    for stage_name, blocks in spec.stages:
-        for i, block in enumerate(blocks, start=1):
-            prefix = f"{stage_name}.{i}."
-            _, t, h, w = extents[prefix + "join"]
-            lines.append(f"{stage_name}.{i:<8} DMSN-{block.variant}  "
+    for prefix, kind, block, _, out_shape in plan:
+        if kind == "block":
+            _, _, t, h, w = out_shape
+            lines.append(f"{prefix[:-1]:<13} DMSN-{block.variant}  "
                          f"{block.in_channels}->{block.out_channels}  "
                          f"s{block.spatial_stride}  {t}x{h}x{w}")
             if values["detail"]:
@@ -318,12 +320,6 @@ def cmd_train(values: dict) -> int:
                          f"{', '.join(SCHEDULES)}")
     dataset = load_manifest(values["data"])
     model_config = _model_config(values)
-    sample = dataset.clip_arrays()[0]
-    if sample.shape != (3, model_config.clip_len) + model_config.input_size:
-        raise CliError(f"dataset clips have shape {sample.shape}, model wants "
-                       f"(3, {model_config.clip_len}, "
-                       f"{model_config.input_size[0]}, "
-                       f"{model_config.input_size[1]})")
     train_config = TrainConfig(optimizer=values["optimizer"],
                                schedule=values["schedule"],
                                epochs=values["epochs"],
@@ -377,12 +373,7 @@ def cmd_eval(values: dict) -> int:
         raise UsageError("eval needs --data <manifest> and --checkpoint <file>")
     spec, params = load_checkpoint(values["checkpoint"])
     dataset = load_manifest(values["data"])
-    clips = dataset.clip_arrays()
-    want = (3, spec.config.clip_len) + tuple(spec.config.input_size)
-    if clips[0].shape != want:
-        raise CliError(f"dataset clips have shape {clips[0].shape}, checkpoint "
-                       f"wants {want}")
-    scores = predict_scores(spec, params, clips,
+    scores = predict_scores(spec, params, dataset.clip_arrays(),
                             batch_size=values["batch_size"])
     labels = dataset.labels()
     rows = _metric_rows(scores, labels, dataset, values)

@@ -12,9 +12,9 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .blocks import INPUT, BlockSpec, block_plan
-from .model import ModelSpec, block_prefixes
-from .ops import ConvLayerSpec, conv_output_shape, out_extent
+from .blocks import BlockSpec, block_plan, block_shapes
+from .model import ModelSpec, model_plan
+from .ops import ConvLayerSpec
 
 CONVENTIONS = ("mac1", "mac2")
 
@@ -34,9 +34,6 @@ class CostReport:
     label: str
     convention: str = "mac1"
     clip_len: int | None = None
-    input_size: tuple | None = None
-    batch: int = 1
-    branch_count: int | None = None
     rows: list[CostRow] = field(default_factory=list)
 
     @property
@@ -56,42 +53,33 @@ class CostReport:
         return self.total_macs * (2 if self.convention == "mac2" else 1)
 
 
-def _unit_row(name: str, conv: ConvLayerSpec,
-              in_shape=None) -> tuple[CostRow, tuple | None]:
-    """Cost row for one conv+bn(+relu) unit; returns its output shape too."""
+def _unit_row(name: str, conv: ConvLayerSpec, out_shape=None) -> CostRow:
+    """Cost row for one conv+bn(+relu) unit with the given output shape."""
     row = CostRow(name, "conv", None,
                   params=conv.param_count() + 2 * conv.out_channels,
                   stats_params=2 * conv.out_channels)
-    out_shape = None
-    if in_shape is not None:
-        out_shape = conv_output_shape(in_shape, conv)
+    if out_shape is not None:
         n, c, t, h, w = out_shape
         row.out_extents = (c, t, h, w)
         row.macs = conv.weight_count * n * t * h * w
-    return row, out_shape
+    return row
 
 
 def count_params(spec) -> CostReport:
     """Parameter columns only; geometry-independent."""
     if isinstance(spec, BlockSpec):
-        report = CostReport(label=f"block-{spec.variant}",
-                            branch_count=spec.branch_count)
-        units = block_plan(spec)
+        report = CostReport(label=f"block-{spec.variant}")
+        report.rows = [_unit_row(name, conv)
+                       for name, conv, _, _ in block_plan(spec)]
     elif isinstance(spec, ModelSpec):
-        report = CostReport(label=spec.config.model_kind,
-                            branch_count=spec.config.branch_count)
-        units = [("conv1", spec.conv1, True, None)]
-        for prefix, block in block_prefixes(spec):
-            units += block_plan(block, prefix)
+        report = CostReport(label=spec.config.model_kind)
+        # the count_flops rows that hold parameters, without their geometry
+        report.rows = [CostRow(row.layer_id, row.kind, None, row.params,
+                               row.stats_params)
+                       for row in count_flops(spec).rows if row.params]
     else:
         raise TypeError(f"count_params expects a ModelSpec or BlockSpec, "
                         f"got {type(spec).__name__}")
-    for name, conv, _, _ in units:
-        row, _ = _unit_row(name, conv)
-        report.rows.append(row)
-    if isinstance(spec, ModelSpec):
-        report.rows.append(CostRow("head.fc", "linear", None,
-                                   params=spec.head_channels + 1))
     return report
 
 
@@ -99,48 +87,33 @@ def count_flops(spec: ModelSpec, input_geometry=None,
                 convention: str = "mac1") -> CostReport:
     """Per-layer parameter and MAC accounting for a full model.
 
-    Each row's ``out_extents`` is the layer's output ``(c, t, h, w)``; a
-    block's ``join`` row holds the block output.
+    ``input_geometry`` is checked like a clip by ``model_plan``.  Each row's
+    ``out_extents`` is the layer's output ``(c, t, h, w)``; a block's ``join``
+    row holds the block output.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    if input_geometry is None:
-        h, w = spec.config.input_size
-        input_geometry = (1, 3, spec.config.clip_len, h, w)
-    n = input_geometry[0]
+    plan = model_plan(spec, input_geometry)
     report = CostReport(label=spec.config.model_kind, convention=convention,
-                        clip_len=input_geometry[2],
-                        input_size=tuple(input_geometry[3:]), batch=n,
-                        branch_count=spec.config.branch_count)
-    row, shape = _unit_row("conv1", spec.conv1, input_geometry)
-    report.rows.append(row)
-    (kt, kh, kw), (st, sh, sw), (pt, ph, pw) = spec.pool
-    _, c, t, h, w = shape
-    t = out_extent(t, kt, st, pt, "time")
-    h = out_extent(h, kh, sh, ph, "height")
-    w = out_extent(w, kw, sw, pw, "width")
-    report.rows.append(CostRow("pool", "maxpool", (c, t, h, w)))
-    shape = (n, c, t, h, w)
-    for prefix, block in block_prefixes(spec):
-        shapes = {INPUT: shape}
-        for name, conv, _, source in block_plan(block, prefix):
-            if isinstance(source, tuple):
-                n, _, t, h, w = shapes[source[0]]
-                in_shape = (n, sum(shapes[s][1] for s in source), t, h, w)
-            else:
-                in_shape = shapes[source]
-            row, shapes[name] = _unit_row(name, conv, in_shape)
-            report.rows.append(row)
-        # residual add + final relu
-        shape = shapes[f"{prefix}fuse"]
-        n, c, t, h, w = shape
-        report.rows.append(CostRow(f"{prefix}join", "add+relu", (c, t, h, w)))
-    n, c, t, h, w = shape
-    report.rows.append(CostRow("head.avgpool", "avgpool", (c, t, 1, 1)))
-    report.rows.append(CostRow("head.fc", "linear", (1, t, 1, 1),
-                               params=spec.head_channels + 1,
-                               macs=n * t * spec.head_channels))
-    report.rows.append(CostRow("head.avgpool_t", "avgpool", (1, 1, 1, 1)))
+                        clip_len=spec.config.clip_len)
+    rows = report.rows
+    for name, kind, layer, in_shape, out_shape in plan:
+        if kind == "conv":
+            rows.append(_unit_row(name, layer, out_shape))
+        elif kind == "maxpool":
+            rows.append(CostRow(name, kind, out_shape[1:]))
+        elif kind == "block":
+            shapes = block_shapes(layer, in_shape, name)
+            rows += [_unit_row(unit, conv, shapes[unit])
+                     for unit, conv, _, _ in block_plan(layer, name)]
+            # residual add + final relu
+            rows.append(CostRow(f"{name}join", "add+relu", out_shape[1:]))
+        else:
+            n, c, t, _, _ = in_shape
+            rows.append(CostRow("head.avgpool", "avgpool", (c, t, 1, 1)))
+            rows.append(CostRow("head.fc", "linear", (1, t, 1, 1),
+                                params=c + 1, macs=n * t * c))
+            rows.append(CostRow("head.avgpool_t", "avgpool", (1, 1, 1, 1)))
     return report
 
 

@@ -10,6 +10,7 @@ widths can be scaled by a rational ``width_multiplier`` for desk-scale runs.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,11 +19,12 @@ import numpy as np
 
 from . import tensorfile
 from .blocks import (BlockSpec, RunState, block_backward, block_forward,
-                     block_param_shapes, build_block, unit_backward,
-                     unit_forward, unit_param_shapes)
+                     block_param_shapes, block_shapes, build_block,
+                     unit_backward, unit_forward, unit_param_shapes)
 from .ops import (ConvLayerSpec, ShapeError, avgpool_spatial,
-                  avgpool_spatial_backward, linear_backward, linear_forward,
-                  maxpool3d, maxpool3d_backward)
+                  avgpool_spatial_backward, conv_output_shape, linear_backward,
+                  linear_forward, maxpool3d, maxpool3d_backward,
+                  window_output_shape)
 
 MODEL_KINDS = ("dmsn", "dmsn-a", "dmsn-b", "dmsn-c")
 STAGES = (("res2", 128, "ABC"),
@@ -59,6 +61,8 @@ class ModelConfig:
                               f"valid: {', '.join(MODEL_KINDS)}")
         if self.clip_len < 2 or self.clip_len % 2:
             raise ConfigError(f"clip_len must be even and >= 2, got {self.clip_len}")
+        if min(self.input_size) < 1:
+            raise ConfigError(f"input_size must be positive, got {self.input_size}")
         if not 2 <= self.branch_count <= 4:
             raise ConfigError(f"branch_count must be 2..4, got {self.branch_count}")
         w = Fraction(self.width_multiplier)
@@ -106,17 +110,47 @@ def build_model(config: ModelConfig) -> ModelSpec:
     return ModelSpec(config, conv1, POOL_GEOMETRY, tuple(stages), in_ch)
 
 
-def block_prefixes(spec: ModelSpec):
+def expected_clip_shape(spec: ModelSpec, batch: int | None = None):
+    h, w = spec.config.input_size
+    return (batch, 3, spec.config.clip_len, h, w)
+
+
+def model_plan(spec: ModelSpec, input_shape=None) -> list[tuple]:
+    """The model's steps in execution order as ``(name, kind, layer, in_shape,
+    out_shape)``: ``conv1`` (kind ``conv``, layer its ConvLayerSpec), ``pool``
+    (``maxpool``, layer its kernel, stride and padding), each block under its
+    parameter prefix (``block``, layer its BlockSpec), and ``head`` (layer
+    None), which gives one score per clip.
+
+    ``input_shape`` defaults to one clip of the configured geometry; any other
+    than ``(n, 3, clip_len, h, w)`` raises ShapeError.
+    """
+    want = expected_clip_shape(spec, 1)
+    shape = want if input_shape is None else tuple(input_shape)
+    if len(shape) != 5 or shape[1:] != want[1:]:
+        raise ShapeError(f"clip shape {shape} does not match expected "
+                         f"(n, 3, {want[2]}, {want[3]}, {want[4]})")
+    out = conv_output_shape(shape, spec.conv1)
+    plan = [("conv1", "conv", spec.conv1, shape, out)]
+    shape, out = out, window_output_shape(out, *spec.pool)
+    plan.append(("pool", "maxpool", spec.pool, shape, out))
     for stage_name, blocks in spec.stages:
         for i, block in enumerate(blocks, start=1):
-            yield f"{stage_name}.{i}.", block
+            prefix, shape = f"{stage_name}.{i}.", out
+            out = block_shapes(block, shape, prefix)[f"{prefix}fuse"]
+            plan.append((prefix, "block", block, shape, out))
+    plan.append(("head", "head", None, out, out[:1]))
+    return plan
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple]:
     """Declared shape of every bundle entry, in canonical order."""
-    shapes = unit_param_shapes("conv1", spec.conv1)
-    for prefix, block in block_prefixes(spec):
-        shapes.update(block_param_shapes(block, prefix))
+    shapes = {}
+    for name, kind, layer, _, _ in model_plan(spec):
+        if kind == "conv":
+            shapes.update(unit_param_shapes(name, layer))
+        elif kind == "block":
+            shapes.update(block_param_shapes(layer, name))
     shapes["head.fc.w"] = (1, spec.head_channels)
     shapes["head.fc.b"] = (1,)
     return shapes
@@ -157,38 +191,28 @@ def reset_head(params: dict, spec: ModelSpec, seed: int) -> dict:
     return out
 
 
-def expected_clip_shape(spec: ModelSpec, batch: int | None = None):
-    h, w = spec.config.input_size
-    return (batch, 3, spec.config.clip_len, h, w)
-
-
-def _check_clip(spec: ModelSpec, clip: np.ndarray) -> None:
-    want = expected_clip_shape(spec)
-    if clip.ndim != 5 or clip.shape[1:] != want[1:]:
-        raise ShapeError(f"clip shape {getattr(clip, 'shape', None)} does not "
-                         f"match expected (n, 3, {spec.config.clip_len}, "
-                         f"{want[3]}, {want[4]})")
-
-
 def forward_with_state(spec: ModelSpec, params: dict, clip: np.ndarray,
                        state: RunState) -> np.ndarray:
-    _check_clip(spec, clip)
-    x = unit_forward("conv1", spec.conv1, True, params, clip, state)
-    pre_pool_shape = x.shape
-    x, argmax = maxpool3d(x, *spec.pool)
-    if state.cache is not None:
-        state.cache["pool"] = (argmax, pre_pool_shape)
-    for prefix, block in block_prefixes(spec):
-        x = block_forward(block, params, x, state, prefix)
-    n, c, t, h, w = x.shape
-    pooled = avgpool_spatial(x)                       # (n, c, t, 1, 1)
-    flat = pooled[:, :, :, 0, 0].transpose(0, 2, 1).reshape(n * t, c)
-    z = linear_forward(flat, params["head.fc.w"], params["head.fc.b"],
-                       state.counter)
-    scores = z.reshape(n, t).mean(axis=1)
-    if state.cache is not None:
-        state.cache["head"] = (flat, (n, c, t, h, w))
-    return scores
+    x = clip
+    for name, kind, layer, in_shape, _ in model_plan(spec, clip.shape):
+        if kind == "conv":
+            x = unit_forward(name, layer, True, params, x, state)
+        elif kind == "maxpool":
+            x, argmax = maxpool3d(x, *layer)
+            if state.cache is not None:
+                state.cache[name] = argmax
+        elif kind == "block":
+            x = block_forward(layer, params, x, state, name)
+        else:
+            n, c, t, h, w = in_shape
+            pooled = avgpool_spatial(x)               # (n, c, t, 1, 1)
+            flat = pooled[:, :, :, 0, 0].transpose(0, 2, 1).reshape(n * t, c)
+            z = linear_forward(flat, params["head.fc.w"], params["head.fc.b"],
+                               state.counter)
+            x = z.reshape(n, t).mean(axis=1)
+            if state.cache is not None:
+                state.cache[name] = (flat, in_shape)
+    return x
 
 
 def model_forward(spec: ModelSpec, params: dict, clip: np.ndarray,
@@ -202,19 +226,25 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
     flat, (n, c, t, h, w) = cache["head"]
     if grad_scores.shape != (n,):
         raise ShapeError(f"grad_scores shape {grad_scores.shape}, expected ({n},)")
-    gz = np.repeat(grad_scores / t, t).reshape(n * t, 1).astype(flat.dtype)
-    gflat, gw, gb = linear_backward(flat, params["head.fc.w"], gz)
-    grads = {"head.fc.w": gw, "head.fc.b": gb}
-    gpooled = gflat.reshape(n, t, c).transpose(0, 2, 1)[:, :, :, None, None]
-    gx = avgpool_spatial_backward(gpooled, h, w)
-    for prefix, block in reversed(list(block_prefixes(spec))):
-        gx, block_grads = block_backward(block, params, cache, gx, prefix)
-        grads.update(block_grads)
-    argmax, pre_pool_shape = cache["pool"]
-    gx = maxpool3d_backward(gx, argmax, pre_pool_shape, *spec.pool)
-    # the stem's input gradient has no consumer
-    unit_backward("conv1", spec.conv1, True, params, cache, gx, grads,
-                  need_input_grad=False)
+    grads: dict[str, np.ndarray] = {}
+    g = grad_scores
+    plan = model_plan(spec, expected_clip_shape(spec, n))
+    for name, kind, layer, in_shape, _ in reversed(plan):
+        if kind == "head":
+            gz = np.repeat(g / t, t).reshape(n * t, 1).astype(flat.dtype)
+            gflat, grads["head.fc.w"], grads["head.fc.b"] = linear_backward(
+                flat, params["head.fc.w"], gz)
+            gpooled = gflat.reshape(n, t, c).transpose(0, 2, 1)
+            g = avgpool_spatial_backward(gpooled[:, :, :, None, None], h, w)
+        elif kind == "block":
+            g, block_grads = block_backward(layer, params, cache, g, name)
+            grads.update(block_grads)
+        elif kind == "maxpool":
+            g = maxpool3d_backward(g, cache[name], in_shape, *layer)
+        else:
+            # the stem's input gradient has no consumer
+            unit_backward(name, layer, True, params, cache, g, grads,
+                          need_input_grad=False)
     return grads
 
 
@@ -255,7 +285,7 @@ def config_from_text(text: str) -> ModelConfig:
         key, value = line.split("=", 1)
         fields[key.strip()] = value.strip()
     try:
-        return ModelConfig(
+        values = dict(
             model_kind=fields["model_kind"],
             clip_len=int(fields["clip_len"]),
             input_size=(int(fields["input_h"]), int(fields["input_w"])),
@@ -264,6 +294,9 @@ def config_from_text(text: str) -> ModelConfig:
             seed=int(fields["seed"]))
     except KeyError as exc:
         raise CheckpointError(f"config text missing field {exc}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CheckpointError(f"config text has a bad value: {exc}") from None
+    return ModelConfig(**values)
 
 
 def _pad_shape5(shape: tuple) -> tuple:
@@ -299,21 +332,29 @@ def load_checkpoint(path):
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", _take(stream, 4))
-    config = config_from_text(_take(stream, cfg_len).decode("utf-8"))
+    config = config_from_text(_utf8(_take(stream, cfg_len), "config text"))
     spec = build_model(config)
     shapes = param_shapes(spec)
     (count,) = struct.unpack("<I", _take(stream, 4))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", _take(stream, 4))
-        name = _take(stream, name_len).decode("utf-8")
+        name = _utf8(_take(stream, name_len), "entry name")
         if name not in shapes:
             raise CheckpointError(f"checkpoint entry {name!r} not in model")
+        if name in params:
+            raise CheckpointError(f"duplicate checkpoint entry {name!r}")
         try:
             blob = tensorfile.tensor_from_stream(stream)
         except tensorfile.TensorFileError as exc:
             raise CheckpointError(f"entry {name!r}: {exc}") from exc
+        if blob.size != math.prod(shapes[name]):
+            raise CheckpointError(f"entry {name!r} holds {blob.size} values, "
+                                  f"the model's shape is {shapes[name]}")
         params[name] = blob.reshape(shapes[name])
+    if stream.tell() != len(data):
+        raise CheckpointError(f"{len(data) - stream.tell()} bytes after the "
+                              f"last checkpoint entry")
     missing = set(shapes) - set(params)
     if missing:
         raise CheckpointError(f"checkpoint missing entries: {sorted(missing)[:3]}...")
@@ -327,18 +368,19 @@ def _take(stream: io.BytesIO, count: int) -> bytes:
     return raw
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"checkpoint {what} is not UTF-8") from None
+
+
 def stage_extents(spec: ModelSpec):
     """(layer id, channels, (t, h, w)) for the stem, pool, stages, and head."""
-    from .complexity import count_flops  # complexity imports this module
-
-    extents = {row.layer_id: row.out_extents
-               for row in count_flops(spec).rows}
-    for name, blocks in spec.stages:
-        extents[name] = extents[f"{name}.{len(blocks)}.join"]
-    t, (h, w) = spec.config.clip_len, spec.config.input_size
-    rows = [("input", 3, (t, h, w))]
-    for name in ("conv1", "pool") + tuple(name for name, _ in spec.stages):
-        c, t, h, w = extents[name]
-        rows.append((name, c, (t, h, w)))
-    rows.append(("head", 1, None))
-    return rows
+    plan = model_plan(spec)
+    shapes = {"input": plan[0][3]}
+    for name, _, _, _, out_shape in plan[:-1]:
+        # a stage's row holds its last block's output
+        shapes[name.split(".")[0]] = out_shape
+    rows = [(name, c, (t, h, w)) for name, (_, c, t, h, w) in shapes.items()]
+    return rows + [("head", 1, None)]

@@ -110,12 +110,16 @@ def out_extent(size: int, kernel: int, stride: int, padding: int, axis: str) -> 
     return out
 
 
+def window_output_shape(x_shape, kernel, stride, padding) -> tuple:
+    """``x_shape`` with its (t, h, w) extents slid over by a window."""
+    return tuple(x_shape[:2]) + tuple(map(
+        out_extent, x_shape[2:], kernel, stride, padding, AXIS_NAMES[2:]))
+
+
 def conv_output_shape(x_shape, spec: ConvLayerSpec) -> tuple[int, int, int, int, int]:
-    n, _, t, h, w = x_shape
-    to = out_extent(t, spec.kernel[0], spec.stride[0], spec.padding[0], "time")
-    ho = out_extent(h, spec.kernel[1], spec.stride[1], spec.padding[1], "height")
-    wo = out_extent(w, spec.kernel[2], spec.stride[2], spec.padding[2], "width")
-    return n, spec.out_channels, to, ho, wo
+    n, _, t, h, w = window_output_shape(x_shape, spec.kernel, spec.stride,
+                                        spec.padding)
+    return n, spec.out_channels, t, h, w
 
 
 # Deepest GEMM reduction that gives the same float32 bytes at 1 and 2 BLAS
@@ -137,8 +141,11 @@ def _pad5(x: np.ndarray, padding, value=0.0) -> np.ndarray:
     pt, ph, pw = padding
     if pt == 0 and ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)),
-                  constant_values=value)
+    n, c, t, h, w = x.shape
+    xp = np.full((n, c, t + 2 * pt, h + 2 * ph, w + 2 * pw), value,
+                 dtype=x.dtype)
+    _crop5(xp, padding, x.shape)[...] = x
+    return xp
 
 
 def _crop5(xp: np.ndarray, padding, shape) -> np.ndarray:
@@ -334,11 +341,8 @@ def maxpool3d(x: np.ndarray, kernel=(3, 3, 3), stride=(2, 2, 2),
     of the winning element (first occurrence on ties), consumed by the backward.
     """
     check_tensor5(x)
-    n, c, t, h, w = x.shape
+    n, c, to, ho, wo = window_output_shape(x.shape, kernel, stride, padding)
     kt, kh, kw = kernel
-    to = out_extent(t, kt, stride[0], padding[0], "time")
-    ho = out_extent(h, kh, stride[1], padding[1], "height")
-    wo = out_extent(w, kw, stride[2], padding[2], "width")
     xp = _pad5(x, padding, value=-np.inf)
     best = np.full((n, c, to, ho, wo), -np.inf, dtype=x.dtype)
     idx = np.zeros((n, c, to, ho, wo), dtype=np.int16)

@@ -106,6 +106,16 @@ class TestCount:
         assert code == 2 and "convention" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["describe", "--width", "1/0"], "--width"),
+    (["describe", "--frames", "abc"], "--frames"),
+    (["count", "--branches", "x"], "--branches"),
+])
+def test_unparsable_option_value_is_usage_error(capsys, argv, flag):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("usage error") and flag in err
+
+
 class TestConfigOverlay:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -121,6 +131,12 @@ class TestConfigOverlay:
         cfg.write_text("bogus=1\n")
         code, _, err = run(capsys, "describe", "--config", str(cfg))
         assert code == 2 and "bogus" in err
+
+    def test_unparsable_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("width=1/0\n")
+        code, _, err = run(capsys, "describe", "--config", str(cfg))
+        assert code == 2 and "--width" in err and "1/0" in err
 
     def test_missing_config_file_fails(self, capsys):
         code, _, err = run(capsys, "describe", "--config", "/nonexistent.cfg")

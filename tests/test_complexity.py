@@ -12,7 +12,7 @@ from dmsn.complexity import (CostReport, count_flops, count_params,
                              emit_cost_table)
 from dmsn.model import (ModelConfig, build_model, forward_with_state,
                         init_params, param_shapes)
-from dmsn.ops import MacCounter
+from dmsn.ops import MacCounter, ShapeError
 
 
 class TestCountParams:
@@ -78,6 +78,11 @@ class TestCountFlops:
         one = count_flops(spec, input_geometry=(1, 3, 16, 112, 112))
         four = count_flops(spec, input_geometry=(4, 3, 16, 112, 112))
         assert four.total_macs == 4 * one.total_macs
+
+    @pytest.mark.parametrize("geometry", [(1, 4, 16, 112, 112), (1, 3)])
+    def test_geometry_checked_like_a_clip(self, geometry):
+        with pytest.raises(ShapeError, match=r"\(n, 3, 16, 112, 112\)"):
+            count_flops(build_model(ModelConfig()), input_geometry=geometry)
 
     def test_exact_clip_len_proportionality(self):
         totals = [count_flops(build_model(ModelConfig(clip_len=f))).total_macs

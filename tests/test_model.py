@@ -1,5 +1,6 @@
 """Architecture assembly, whole-model execution, checkpoints."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from dmsn.model import (CheckpointError, ConfigError, ModelConfig,
                         model_forward, param_shapes, reset_head,
                         save_checkpoint, stage_extents)
 from dmsn.ops import ShapeError
+from dmsn.tensorfile import tensor_to_bytes
 
 MICRO = ModelConfig(clip_len=8, input_size=(32, 32),
                     width_multiplier=Fraction(1, 8))
@@ -82,6 +84,8 @@ class TestBuildModel:
             ModelConfig(width_multiplier=Fraction(1, 3))
         with pytest.raises(ConfigError, match="branch"):
             ModelConfig(branch_count=5)
+        with pytest.raises(ConfigError, match="input_size"):
+            ModelConfig(input_size=(0, 32))
 
 
 class TestInitParams:
@@ -222,6 +226,28 @@ class TestResetHead:
         np.testing.assert_array_equal(pre_a, pre_b)
 
 
+def _checkpoint_bytes(config_text: str, entries) -> bytes:
+    """A checkpoint file in the saved layout: config text, then ``entries``
+    given as ``(raw name bytes, array)`` pairs."""
+    cfg = config_text.encode("utf-8")
+    out = [b"DMSNCKPT", struct.pack("<II", 1, len(cfg)), cfg,
+           struct.pack("<I", len(entries))]
+    for name, arr in entries:
+        out += [struct.pack("<I", len(name)), name,
+                tensor_to_bytes(arr.reshape((1,) * (5 - arr.ndim) + arr.shape))]
+    return b"".join(out)
+
+
+def _entries(params):
+    return [(name.encode("utf-8"), params[name]) for name in sorted(params)]
+
+
+def _load(tmp_path, raw: bytes):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw)
+    return load_checkpoint(path)
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         spec, params, _ = micro_setup(seed=9)
@@ -266,3 +292,61 @@ class TestCheckpoint:
                              input_size=(64, 48), branch_count=3,
                              width_multiplier=Fraction(1, 4), seed=17)
         assert config_from_text(config_to_text(config)) == config
+
+    def test_the_helper_writes_what_save_checkpoint_writes(self, tmp_path):
+        spec, params, _ = micro_setup(seed=13)
+        save_checkpoint(spec, params, tmp_path / "good.ckpt")
+        assert (tmp_path / "good.ckpt").read_bytes() == _checkpoint_bytes(
+            config_to_text(spec.config), _entries(params))
+
+    @pytest.mark.parametrize("field, value", [("clip_len", "8.0"),
+                                              ("seed", "x"),
+                                              ("width_multiplier", "1/0")])
+    def test_bad_config_value(self, tmp_path, field, value):
+        spec, params, _ = micro_setup(seed=14)
+        text = config_to_text(spec.config).replace(
+            f"{field}={getattr(spec.config, field)}", f"{field}={value}")
+        assert value in text
+        with pytest.raises(CheckpointError, match="bad value"):
+            _load(tmp_path, _checkpoint_bytes(text, _entries(params)))
+
+    def test_config_text_not_utf8(self, tmp_path):
+        spec, params, _ = micro_setup(seed=15)
+        raw = _checkpoint_bytes(config_to_text(spec.config),
+                                _entries(params))
+        raw = raw.replace(b"model_kind=dmsn", b"model_kind=dms\xff")
+        with pytest.raises(CheckpointError, match="config text is not UTF-8"):
+            _load(tmp_path, raw)
+
+    def test_entry_name_not_utf8(self, tmp_path):
+        spec, params, _ = micro_setup(seed=16)
+        entries = _entries(params)
+        entries[0] = (b"\xff" + entries[0][0][1:], entries[0][1])
+        with pytest.raises(CheckpointError, match="entry name is not UTF-8"):
+            _load(tmp_path, _checkpoint_bytes(
+                config_to_text(spec.config), entries))
+
+    def test_duplicate_entry(self, tmp_path):
+        spec, params, _ = micro_setup(seed=17)
+        entries = _entries(params)
+        name = entries[0][0]
+        entries.insert(1, (name, np.zeros_like(entries[0][1])))
+        with pytest.raises(CheckpointError, match="duplicate"):
+            _load(tmp_path, _checkpoint_bytes(
+                config_to_text(spec.config), entries))
+
+    def test_bytes_after_last_entry(self, tmp_path):
+        spec, params, _ = micro_setup(seed=18)
+        raw = _checkpoint_bytes(config_to_text(spec.config),
+                                _entries(params))
+        with pytest.raises(CheckpointError, match="1 bytes after"):
+            _load(tmp_path, raw + b"\0")
+
+    def test_entry_with_wrong_element_count(self, tmp_path):
+        spec, params, _ = micro_setup(seed=19)
+        entries = _entries(params)
+        entries[0] = (entries[0][0], np.concatenate(
+            [entries[0][1].ravel(), [0.0]]))
+        with pytest.raises(CheckpointError, match="values"):
+            _load(tmp_path, _checkpoint_bytes(
+                config_to_text(spec.config), entries))
