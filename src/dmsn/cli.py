@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocks import describe_block
+from .blocks import BlockConfigError, describe_block
 from .complexity import count_flops, emit_cost_table
 from .gradsuite import run_gradient_suites
 from .model import (ConfigError, ModelConfig, build_model, load_checkpoint,
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except ConfigError as exc:
+    except (ConfigError, BlockConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (CliError, ManifestError, DatasetError, ShapeError, GeometryError,

@@ -117,20 +117,13 @@ def count_flops(spec: ModelSpec, input_geometry=None,
     return report
 
 
-def params_m(report: CostReport) -> str:
-    return f"{report.total_params / 1e6:.1f}"
-
-
-def flops_g(report: CostReport) -> str:
-    return f"{report.total_flops / 1e9:.2f}"
-
-
 def emit_cost_table(reports: list[CostReport], format: str = "text") -> str:
     """Summary table, one row per report, in the order given."""
     if not reports:
         raise ValueError("emit_cost_table needs at least one report")
     header = ("model", "params_M", "flops_G", "convention", "clip_len")
-    table = [(r.label, params_m(r), flops_g(r), r.convention,
+    table = [(r.label, f"{r.total_params / 1e6:.1f}",
+              f"{r.total_flops / 1e9:.2f}", r.convention,
               str(r.clip_len if r.clip_len is not None else ""))
              for r in reports]
     if format == "csv":

@@ -18,9 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import tensorfile
-from .blocks import (BlockSpec, RunState, block_backward, block_forward,
-                     block_param_shapes, block_shapes, build_block,
-                     unit_backward, unit_forward, unit_param_shapes)
+from .blocks import (BlockConfigError, BlockSpec, RunState, block_backward,
+                     block_forward, block_param_shapes, block_shapes,
+                     build_block, unit_backward, unit_forward,
+                     unit_param_shapes)
 from .ops import (ConvLayerSpec, ShapeError, avgpool_spatial,
                   avgpool_spatial_backward, conv_output_shape, linear_backward,
                   linear_forward, maxpool3d, maxpool3d_backward,
@@ -332,8 +333,12 @@ def load_checkpoint(path):
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", _take(stream, 4))
-    config = config_from_text(_utf8(_take(stream, cfg_len), "config text"))
-    spec = build_model(config)
+    try:
+        spec = build_model(config_from_text(
+            _utf8(_take(stream, cfg_len), "config text")))
+    except (ConfigError, BlockConfigError) as exc:
+        raise CheckpointError(f"the model rejects the checkpoint config: "
+                              f"{exc}") from exc
     shapes = param_shapes(spec)
     (count,) = struct.unpack("<I", _take(stream, 4))
     params: dict[str, np.ndarray] = {}

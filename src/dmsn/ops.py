@@ -71,10 +71,6 @@ class ConvLayerSpec:
         return self.kernel[1] == 1 and self.kernel[2] == 1
 
     @property
-    def is_spatial(self) -> bool:
-        return self.kernel[0] == 1
-
-    @property
     def is_pointwise(self) -> bool:
         return self.kernel == (1, 1, 1)
 
@@ -317,22 +313,6 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
             gb.astype(weights.dtype, copy=False))
 
 
-def conv_temporal_forward(x, spec: ConvLayerSpec, weights, bias=None,
-                          counter: MacCounter | None = None) -> np.ndarray:
-    """Check that the kernel is ``(k, 1, 1)``, then run :func:`conv3d_forward`."""
-    if not spec.is_temporal:
-        raise ShapeError(f"temporal path needs a (k,1,1) kernel, got {spec.kernel}")
-    return conv3d_forward(x, spec, weights, bias, counter)
-
-
-def conv_spatial_forward(x, spec: ConvLayerSpec, weights, bias=None,
-                         counter: MacCounter | None = None) -> np.ndarray:
-    """Check that the kernel is ``(1, k, k)``, then run :func:`conv3d_forward`."""
-    if not spec.is_spatial:
-        raise ShapeError(f"spatial path needs a (1,k,k) kernel, got {spec.kernel}")
-    return conv3d_forward(x, spec, weights, bias, counter)
-
-
 def maxpool3d(x: np.ndarray, kernel=(3, 3, 3), stride=(2, 2, 2),
               padding=(1, 1, 1)):
     """Max over sliding windows; padding contributes -inf.
@@ -389,18 +369,6 @@ def avgpool_spatial_backward(grad_out: np.ndarray, h: int, w: int) -> np.ndarray
                            grad_out.shape[:3] + (h, w)).copy()
 
 
-def avgpool_temporal(x: np.ndarray) -> np.ndarray:
-    """Mean over t; that extent collapses to 1."""
-    check_tensor5(x)
-    return x.mean(axis=2, keepdims=True, dtype=np.float64).astype(
-        x.dtype, copy=False)
-
-
-def avgpool_temporal_backward(grad_out: np.ndarray, t: int) -> np.ndarray:
-    shape = grad_out.shape[:2] + (t,) + grad_out.shape[3:]
-    return np.broadcast_to(grad_out / t, shape).copy()
-
-
 def _channel_vector(v: np.ndarray, dtype) -> np.ndarray:
     """A per-channel vector cast to ``dtype``, shaped to broadcast over NCTHW."""
     return v.astype(dtype, copy=False).reshape(1, -1, 1, 1, 1)
@@ -417,8 +385,7 @@ def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray,
-                      mode: str = "train", momentum: float = BN_MOMENTUM,
-                      eps: float = BN_EPS):
+                      mode: str = "train"):
     """Per-channel normalization over (n, t, h, w).
 
     Train mode normalizes with batch statistics and returns running stats moved
@@ -437,10 +404,10 @@ def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
         mean = _channel_sum(x) / m
         xhat = x - _channel_vector(mean, x.dtype)
         var = _channel_sum(xhat, xhat) / m
-        new_mean = ((1 - momentum) * running_mean + momentum * mean).astype(
-            running_mean.dtype, copy=False)
-        new_var = ((1 - momentum) * running_var + momentum * var).astype(
-            running_var.dtype, copy=False)
+        new_mean = ((1 - BN_MOMENTUM) * running_mean
+                    + BN_MOMENTUM * mean).astype(running_mean.dtype, copy=False)
+        new_var = ((1 - BN_MOMENTUM) * running_var
+                   + BN_MOMENTUM * var).astype(running_var.dtype, copy=False)
     elif mode == "eval":
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
@@ -448,7 +415,7 @@ def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
         xhat = x - _channel_vector(mean, x.dtype)
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= _channel_vector(inv_std, x.dtype)
     y = xhat * _channel_vector(scale, x.dtype)
     y += _channel_vector(shift, x.dtype)

@@ -66,10 +66,6 @@ def tensor_from_stream(stream: io.BufferedIOBase) -> np.ndarray:
     return data.astype(dtype.newbyteorder("="), copy=True)
 
 
-def tensor_from_bytes(blob: bytes) -> np.ndarray:
-    return tensor_from_stream(io.BytesIO(blob))
-
-
 def write_tensor(path, arr: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(tensor_to_bytes(arr))

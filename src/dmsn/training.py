@@ -9,8 +9,7 @@ import numpy as np
 
 from .blocks import RunState
 from .model import (ModelConfig, ModelSpec, backward_from_cache, build_model,
-                    forward_with_state, init_params, learnable_names,
-                    model_forward)
+                    forward_with_state, init_params, model_forward)
 
 
 class TrainingDiverged(RuntimeError):
@@ -66,52 +65,52 @@ def init_optimizer(kind: str, lr: float, **hyper) -> OptimizerState:
     return OptimizerState(kind=kind, lr=lr, **hyper)
 
 
-def _decayed(name: str, grad: np.ndarray, theta: np.ndarray,
-             weight_decay: float) -> np.ndarray:
-    g = grad.astype(np.float64, copy=False)
-    if weight_decay and not name.endswith(_NO_DECAY_SUFFIXES):
-        g = g + weight_decay * theta.astype(np.float64, copy=False)
-    return g
+def _apply_update(params: dict, grads: dict, state: OptimizerState,
+                  update) -> dict:
+    """The per-entry driver of both optimizers; returns new params.
 
-
-def sgd_step(params: dict, grads: dict, state: OptimizerState) -> dict:
-    """v <- momentum*v + g + wd*theta; theta <- theta - lr*v. Returns new params."""
+    ``update(g, slot)`` gets the float64 gradient, decayed except on
+    ``.scale``/``.shift``, and the entry's slot (None at first); it returns
+    ``(step, new slot)``, and the entry becomes ``theta - step`` in its dtype.
+    """
     out = dict(params)
     for name, grad in grads.items():
         theta = params[name]
         if grad.shape != theta.shape:
             raise ValueError(f"{name}: grad shape {grad.shape} != param shape "
                              f"{theta.shape}")
-        g = _decayed(name, grad, theta, state.weight_decay)
-        v = state.slots.get(name)
-        v = g if v is None else state.momentum * v + g
-        state.slots[name] = v
-        out[name] = (theta - state.lr * v).astype(theta.dtype, copy=False)
+        g = grad.astype(np.float64, copy=False)
+        if state.weight_decay and not name.endswith(_NO_DECAY_SUFFIXES):
+            g = g + state.weight_decay * theta.astype(np.float64, copy=False)
+        step, state.slots[name] = update(g, state.slots.get(name))
+        out[name] = (theta - step).astype(theta.dtype, copy=False)
     state.step_count += 1
     return out
 
 
+def sgd_step(params: dict, grads: dict, state: OptimizerState) -> dict:
+    """v <- momentum*v + g + wd*theta; theta <- theta - lr*v. Returns new params."""
+    def update(g, v):
+        v = g if v is None else state.momentum * v + g
+        return state.lr * v, v
+
+    return _apply_update(params, grads, state, update)
+
+
 def adam_step(params: dict, grads: dict, state: OptimizerState) -> dict:
     """Bias-corrected first/second moment update. Returns new params."""
-    out = dict(params)
     b1, b2 = state.betas
     t = state.step_count + 1
-    for name, grad in grads.items():
-        theta = params[name]
-        if grad.shape != theta.shape:
-            raise ValueError(f"{name}: grad shape {grad.shape} != param shape "
-                             f"{theta.shape}")
-        g = _decayed(name, grad, theta, state.weight_decay)
-        m, v = state.slots.get(name, (np.zeros_like(g), np.zeros_like(g)))
+
+    def update(g, slot):
+        m, v = (np.zeros_like(g), np.zeros_like(g)) if slot is None else slot
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
-        state.slots[name] = (m, v)
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        step = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        out[name] = (theta - step).astype(theta.dtype, copy=False)
-    state.step_count = t
-    return out
+        return state.lr * m_hat / (np.sqrt(v_hat) + state.eps), (m, v)
+
+    return _apply_update(params, grads, state, update)
 
 
 OPTIMIZER_STEPS = {"sgd": sgd_step, "adam": adam_step}

@@ -17,7 +17,7 @@ from dmsn.gradsuite import run_gradient_suites
 from dmsn.model import (ModelConfig, build_model, forward_with_state,
                         init_bundle, init_params)
 from dmsn.blocks import block_param_shapes
-from dmsn.ops import MacCounter, conv_spatial_forward, conv_temporal_forward
+from dmsn.ops import MacCounter, conv3d_forward
 from dmsn.pipeline import (Clip, ClipDataset, SynthConfig,
                            aggregate_video_score, bdi_severity_band,
                            loso_splits, metric_mae, metric_mse, metric_rmse,
@@ -111,8 +111,7 @@ def test_a5_kernel_oracle_equivalence():
     for picker in ({"temporal": True}, {"spatial": True}):
         for _ in range(100):
             spec, x, w = random_conv_case(rng, dtype=np.float32, **picker)
-            fast = (conv_temporal_forward if "temporal" in picker
-                    else conv_spatial_forward)(x, spec, w)
+            fast = conv3d_forward(x, spec, w)
             direct = naive_conv3d(x, spec, w)
             worst = max(worst, float(np.abs(fast - direct).max()))
     elapsed = time.perf_counter() - t0

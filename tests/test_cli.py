@@ -116,6 +116,15 @@ def test_unparsable_option_value_is_usage_error(capsys, argv, flag):
     assert code == 2 and err.startswith("usage error") and flag in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["describe", "--width", "1/64"], "mid channels 1 not divisible by 2"),
+    (["describe", "--width", "1/32"], "mid channels 2 cannot feed 4 branches"),
+], ids=["width-1/64", "width-1/32"])
+def test_unbuildable_block_config_is_config_error(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and message in err
+
+
 class TestConfigOverlay:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

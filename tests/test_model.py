@@ -310,6 +310,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad value"):
             _load(tmp_path, _checkpoint_bytes(text, _entries(params)))
 
+    @pytest.mark.parametrize("field, value, cause", [
+        ("clip_len", "5", "clip_len must be even"),
+        ("width_multiplier", "1/64", "mid channels 1 not divisible by 2")])
+    def test_config_rejected_by_the_model(self, tmp_path, field, value, cause):
+        spec, params, _ = micro_setup(seed=20)
+        text = config_to_text(spec.config).replace(
+            f"{field}={getattr(spec.config, field)}", f"{field}={value}")
+        assert value in text
+        with pytest.raises(CheckpointError, match=cause):
+            _load(tmp_path, _checkpoint_bytes(text, _entries(params)))
+
     def test_config_text_not_utf8(self, tmp_path):
         spec, params, _ = micro_setup(seed=15)
         raw = _checkpoint_bytes(config_to_text(spec.config),

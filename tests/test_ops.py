@@ -94,7 +94,7 @@ class TestSpecializedPaths:
         rng = np.random.default_rng(5)
         for _ in range(20):
             spec, x, w = random_conv_case(rng, temporal=True)
-            got = ops.conv_temporal_forward(x, spec, w)
+            got = ops.conv3d_forward(x, spec, w)
             want = naive_conv3d(x, spec, w)
             assert np.abs(got - want).max() < 1e-5
 
@@ -102,7 +102,7 @@ class TestSpecializedPaths:
         rng = np.random.default_rng(6)
         for _ in range(20):
             spec, x, w = random_conv_case(rng, spatial=True)
-            got = ops.conv_spatial_forward(x, spec, w)
+            got = ops.conv3d_forward(x, spec, w)
             want = naive_conv3d(x, spec, w)
             assert np.abs(got - want).max() < 1e-5
 
@@ -111,26 +111,8 @@ class TestSpecializedPaths:
         for i in range(100):
             kind = {"temporal": True} if i % 2 else {"spatial": True}
             spec, x, w = random_conv_case(rng, dtype=np.float64, **kind)
-            fast = (ops.conv_temporal_forward if i % 2
-                    else ops.conv_spatial_forward)(x, spec, w)
+            fast = ops.conv3d_forward(x, spec, w)
             assert np.abs(fast - naive_conv3d(x, spec, w)).max() < 1e-12
-
-    def test_pointwise_accepted_by_both_paths(self):
-        rng = np.random.default_rng(8)
-        spec = ConvLayerSpec(2, 3, (1, 1, 1))
-        x = rng.normal(size=(1, 2, 3, 4, 4)).astype(np.float32)
-        w = rng.normal(size=spec.weight_shape).astype(np.float32)
-        np.testing.assert_array_equal(ops.conv_temporal_forward(x, spec, w),
-                                      ops.conv_spatial_forward(x, spec, w))
-
-    def test_wrong_kernel_rejected(self):
-        spec = ConvLayerSpec(1, 1, (3, 3, 3))
-        x = np.zeros((1, 1, 4, 4, 4))
-        w = np.zeros(spec.weight_shape)
-        with pytest.raises(ShapeError):
-            ops.conv_temporal_forward(x, spec, w)
-        with pytest.raises(ShapeError):
-            ops.conv_spatial_forward(x, spec, w)
 
 
 class TestConvBackward:
@@ -295,17 +277,12 @@ class TestPooling:
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 2, 2)
         np.testing.assert_allclose(ops.avgpool_spatial(x), [[[[[2.5]]]]])
 
-    def test_temporal_average_of_constant(self):
-        x = np.full((2, 3, 5, 2, 2), -1.25)
-        y = ops.avgpool_temporal(x)
-        assert y.shape == (2, 3, 1, 2, 2)
-        np.testing.assert_allclose(y, -1.25)
-
-    def test_spatial_then_temporal_is_global_mean(self):
+    def test_spatial_average_of_random_input(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 4, 3, 5, 5))
-        y = ops.avgpool_temporal(ops.avgpool_spatial(x))
-        np.testing.assert_allclose(y[:, :, 0, 0, 0], x.mean(axis=(2, 3, 4)))
+        y = ops.avgpool_spatial(x)
+        assert y.shape == (2, 4, 3, 1, 1)
+        np.testing.assert_allclose(y[:, :, :, 0, 0], x.mean(axis=(3, 4)))
 
 
 class TestBatchNorm:

@@ -81,4 +81,4 @@ def test_huge_extents_rejected_before_payload():
 
 def test_zero_extent_rejected():
     with pytest.raises(tensorfile.TensorFileError, match="zero extent"):
-        tensorfile.tensor_from_bytes(_header(0, 1, 1, 1, 1))
+        tensorfile.tensor_from_stream(io.BytesIO(_header(0, 1, 1, 1, 1)))
