@@ -293,24 +293,20 @@ def block_backward(spec: BlockSpec, params, cache, grad_y: np.ndarray,
     return pending[INPUT], grads
 
 
-def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int,
-                          position: tuple[int, int, int] | None = None):
+def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
     """Gradient of one branch-output element (summed over channels) w.r.t. x.
 
     Runs the plan units that lead from the block input to ``branch{tap}`` in
-    eval mode and seeds the backward with a one-hot at ``position`` (default:
-    the output center).  The nonzero support of the result is the branch's
-    receptive field.
+    eval mode and seeds the backward with a one-hot at the output center.  The
+    nonzero support of the result is the branch's receptive field.
     """
     chain = _branch_path(spec, tap)
     state = RunState(mode="eval", cache={})
     cur = x
     for name, conv, act, _ in chain:
         cur = unit_forward(name, conv, act, params, cur, state)
-    if position is None:
-        position = (cur.shape[2] // 2, cur.shape[3] // 2, cur.shape[4] // 2)
     grad = np.zeros_like(cur)
-    grad[:, :, position[0], position[1], position[2]] = 1.0
+    grad[:, :, cur.shape[2] // 2, cur.shape[3] // 2, cur.shape[4] // 2] = 1.0
     grads: dict[str, np.ndarray] = {}
     for name, conv, act, _ in reversed(chain):
         grad = unit_backward(name, conv, act, params, state.cache, grad, grads)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``describe``, ``count``, ``gradcheck``, ``synth``, ``train``,
-``eval``.  Global flags ``--seed``, ``--config``, ``--out``, ``--format``.
-A config file holds ``key=value`` lines keyed by option name; command-line
-flags override it, and unknown keys are rejected.  Every subcommand is
-deterministic given its flags and seed.
+``eval``.  Global flags ``--config`` and ``--out``; ``--seed`` belongs to the
+subcommands that draw random numbers and ``--format`` to those with a csv
+form.  A config file holds ``key=value`` lines keyed by option name;
+command-line flags override it, and unknown keys are rejected.  Every
+subcommand is deterministic given its flags and seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,11 @@ from .complexity import count_flops, emit_cost_table
 from .gradsuite import run_gradient_suites
 from .model import (ConfigError, ModelConfig, build_model, load_checkpoint,
                     model_plan, save_checkpoint)
-from .ops import GeometryError, ShapeError
+from .ops import POOL_GEOMETRY, GeometryError, ShapeError
 from .pipeline import (DatasetError, ManifestError, SynthConfig,
                        aggregate_video_score, format_synth_config,
-                       load_manifest, loso_splits, metric_mae, metric_mse,
-                       metric_rmse, save_manifest, synth_generate)
+                       load_manifest, metric_mae, metric_mse, metric_rmse,
+                       save_manifest, synth_generate)
 from .training import (SCHEDULES, TrainConfig, TrainingDiverged,
                        predict_scores, save_history, train)
 
@@ -75,11 +76,11 @@ class Opt:
 
 
 GLOBAL_OPTS = (
-    Opt("--seed", int, 0, "random seed"),
     Opt("--config", str, None, "key=value overlay file (flags win)"),
     Opt("--out", str, None, "output path (default: stdout / cwd)"),
-    Opt("--format", str, "text", "output format: text or csv"),
 )
+SEED_OPT = Opt("--seed", int, 0, "random seed")
+FORMAT_OPT = Opt("--format", str, "text", "output format: text or csv")
 
 MODEL_OPTS = (
     Opt("--model", str, "dmsn", "model kind: dmsn, dmsn-a, dmsn-b, dmsn-c"),
@@ -101,11 +102,12 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("--size", int, 112, "input height/width in pixels"),
         Opt("--width", _fraction, Fraction(1), "channel width multiplier"),
         Opt("--convention", str, "mac1", "FLOP convention: mac1 or mac2"),
+        FORMAT_OPT,
     ),
     "gradcheck": (
-        Opt("--scale", str, "micro", "suite scale (micro only)"),
         Opt("--inject-bug", _bool, False,
             "negative control: corrupt one analytic gradient", is_flag=True),
+        SEED_OPT,
     ),
     "synth": (
         Opt("--clips", int, 64, "number of clips to generate"),
@@ -115,6 +117,7 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("--label-min", float, 0.0, "lower label bound"),
         Opt("--label-max", float, 4.0, "upper label bound"),
         Opt("--speed", float, 1.0, "bump displacement per frame per label unit"),
+        SEED_OPT,
     ),
     "train": MODEL_OPTS + (
         Opt("--data", str, None, "clip manifest to train on"),
@@ -126,14 +129,16 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("--steps", int, None, "stop after this many optimizer steps"),
         Opt("--loss", str, "mse", "training loss: mse or mae"),
         Opt("--history", str, None, "write per-step loss records here"),
+        SEED_OPT,
     ),
     "eval": (
         Opt("--data", str, None, "clip manifest to evaluate"),
         Opt("--checkpoint", str, None, "model checkpoint to load"),
         Opt("--aggregate", str, None, "video aggregation: median"),
-        Opt("--loso", _bool, False, "report leave-one-subject-out folds",
-            is_flag=True),
+        Opt("--per-subject", _bool, False,
+            "also report each subject's clips on their own", is_flag=True),
         Opt("--batch-size", int, 8, "scoring batch size"),
+        FORMAT_OPT,
     ),
 }
 
@@ -198,8 +203,7 @@ def _model_config(values: dict) -> ModelConfig:
                        clip_len=values["frames"],
                        input_size=(values["size"], values["size"]),
                        branch_count=values["branches"],
-                       width_multiplier=values["width"],
-                       seed=values["seed"])
+                       width_multiplier=values["width"])
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -230,7 +234,7 @@ def cmd_describe(values: dict) -> int:
     shapes = {name: out_shape for name, _, _, _, out_shape in plan}
     shapes["input"] = plan[0][3]
     stem = spec.conv1
-    kernel, stride, padding = spec.pool
+    kernel, stride, padding = POOL_GEOMETRY
     # a cubic pool prints each geometry triple as one number
     stride, padding = (v[0] if len(set(v)) == 1 else _tight(v)
                        for v in (stride, padding))
@@ -279,8 +283,6 @@ def cmd_count(values: dict) -> int:
 
 
 def cmd_gradcheck(values: dict) -> int:
-    if values["scale"] != "micro":
-        raise UsageError(f"unsupported gradcheck scale {values['scale']!r}")
     results = run_gradient_suites(seed=values["seed"],
                                   inject_bug=values["inject_bug"])
     lines = [f"{name:<22} {report.summary()}" for name, report in results]
@@ -319,7 +321,7 @@ def cmd_train(values: dict) -> int:
         raise UsageError(f"unknown schedule {values['schedule']!r}; valid: "
                          f"{', '.join(SCHEDULES)}")
     dataset = load_manifest(values["data"])
-    model_config = _model_config(values)
+    model_config = replace(_model_config(values), seed=values["seed"])
     train_config = TrainConfig(optimizer=values["optimizer"],
                                schedule=values["schedule"],
                                epochs=values["epochs"],
@@ -340,21 +342,14 @@ def cmd_train(values: dict) -> int:
 def _metric_rows(scores: np.ndarray, labels: np.ndarray, dataset, values: dict):
     rows = [("overall", "all", len(scores), metric_mae(scores, labels),
              metric_rmse(scores, labels), metric_mse(scores, labels))]
-    if values["loso"]:
-        plan = loso_splits(dataset)
-        pooled_pred, pooled_truth = [], []
-        for fold_no, (_, test_subjects) in enumerate(plan.folds, start=1):
+    if values["per_subject"]:
+        # slices of one model's scores; no model was trained without them
+        for subject in dataset.subjects():
             keep = [i for i, c in enumerate(dataset.clips)
-                    if c.subject_id in test_subjects]
+                    if c.subject_id == subject]
             p, t = scores[keep], labels[keep]
-            rows.append((f"fold{fold_no}", ",".join(test_subjects), len(keep),
-                         metric_mae(p, t), metric_rmse(p, t), metric_mse(p, t)))
-            pooled_pred.extend(p)
-            pooled_truth.extend(t)
-        rows.append(("loso-pooled", "all", len(pooled_pred),
-                     metric_mae(pooled_pred, pooled_truth),
-                     metric_rmse(pooled_pred, pooled_truth),
-                     metric_mse(pooled_pred, pooled_truth)))
+            rows.append(("subject", subject, len(keep), metric_mae(p, t),
+                         metric_rmse(p, t), metric_mse(p, t)))
     if values["aggregate"] is not None:
         if values["aggregate"] != "median":
             raise UsageError(f"unknown aggregation {values['aggregate']!r}")
@@ -401,7 +396,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (2) or the help (0)
+        return exc.code
     try:
         values = _resolve(ns, SUBCOMMANDS[ns.command])
         return COMMANDS[ns.command](values)

@@ -22,7 +22,7 @@ from .blocks import (BlockConfigError, BlockSpec, RunState, block_backward,
                      block_forward, block_param_shapes, block_shapes,
                      build_block, unit_backward, unit_forward,
                      unit_param_shapes)
-from .ops import (ConvLayerSpec, ShapeError, avgpool_spatial,
+from .ops import (POOL_GEOMETRY, ConvLayerSpec, ShapeError, avgpool_spatial,
                   avgpool_spatial_backward, conv_output_shape, linear_backward,
                   linear_forward, maxpool3d, maxpool3d_backward,
                   window_output_shape)
@@ -33,7 +33,6 @@ STAGES = (("res2", 128, "ABC"),
           ("res4", 512, "ABCABC"),
           ("res5", 1024, "ABCA"))
 STEM_CHANNELS = 64
-POOL_GEOMETRY = ((3, 3, 3), (2, 2, 2), (1, 1, 1))
 
 CKPT_MAGIC = b"DMSNCKPT"
 CKPT_VERSION = 1
@@ -83,7 +82,6 @@ class ModelConfig:
 class ModelSpec:
     config: ModelConfig
     conv1: ConvLayerSpec
-    pool: tuple
     stages: tuple[tuple[str, tuple[BlockSpec, ...]], ...]
     head_channels: int
 
@@ -108,7 +106,7 @@ def build_model(config: ModelConfig) -> ModelSpec:
                                       config.branch_count))
             in_ch = out_ch
         stages.append((name, tuple(blocks)))
-    return ModelSpec(config, conv1, POOL_GEOMETRY, tuple(stages), in_ch)
+    return ModelSpec(config, conv1, tuple(stages), in_ch)
 
 
 def expected_clip_shape(spec: ModelSpec, batch: int | None = None):
@@ -119,7 +117,7 @@ def expected_clip_shape(spec: ModelSpec, batch: int | None = None):
 def model_plan(spec: ModelSpec, input_shape=None) -> list[tuple]:
     """The model's steps in execution order as ``(name, kind, layer, in_shape,
     out_shape)``: ``conv1`` (kind ``conv``, layer its ConvLayerSpec), ``pool``
-    (``maxpool``, layer its kernel, stride and padding), each block under its
+    (``maxpool``, layer ``ops.POOL_GEOMETRY``), each block under its
     parameter prefix (``block``, layer its BlockSpec), and ``head`` (layer
     None), which gives one score per clip.
 
@@ -133,8 +131,8 @@ def model_plan(spec: ModelSpec, input_shape=None) -> list[tuple]:
                          f"(n, 3, {want[2]}, {want[3]}, {want[4]})")
     out = conv_output_shape(shape, spec.conv1)
     plan = [("conv1", "conv", spec.conv1, shape, out)]
-    shape, out = out, window_output_shape(out, *spec.pool)
-    plan.append(("pool", "maxpool", spec.pool, shape, out))
+    shape, out = out, window_output_shape(out, *POOL_GEOMETRY)
+    plan.append(("pool", "maxpool", POOL_GEOMETRY, shape, out))
     for stage_name, blocks in spec.stages:
         for i, block in enumerate(blocks, start=1):
             prefix, shape = f"{stage_name}.{i}.", out
@@ -167,19 +165,17 @@ def _draw(rng: np.random.Generator, name: str, shape: tuple,
     return np.zeros(shape, dtype=dtype)  # .shift, .mean, .b
 
 
-def init_bundle(shapes: dict[str, tuple], seed: int,
-                dtype=np.float64) -> dict[str, np.ndarray]:
-    """Draw a parameter bundle for any declared shape map (model or block)."""
+def init_bundle(shapes: dict[str, tuple], seed: int) -> dict[str, np.ndarray]:
+    """Draw a float64 bundle for any declared shape map (model or block)."""
     rng = np.random.default_rng(seed)
-    return {name: _draw(rng, name, shape, dtype)
+    return {name: _draw(rng, name, shape, np.float64)
             for name, shape in shapes.items()}
 
 
-def init_params(spec: ModelSpec, seed: int | None = None,
-                dtype=np.float64) -> dict[str, np.ndarray]:
-    """Fan-in-scaled normal conv/linear weights, identity normalization."""
+def init_params(spec: ModelSpec, seed: int | None = None) -> dict[str, np.ndarray]:
+    """Float64 fan-in-scaled normal conv/linear weights, identity BN."""
     return init_bundle(param_shapes(spec),
-                       spec.config.seed if seed is None else seed, dtype)
+                       spec.config.seed if seed is None else seed)
 
 
 def reset_head(params: dict, spec: ModelSpec, seed: int) -> dict:
@@ -199,7 +195,7 @@ def forward_with_state(spec: ModelSpec, params: dict, clip: np.ndarray,
         if kind == "conv":
             x = unit_forward(name, layer, True, params, x, state)
         elif kind == "maxpool":
-            x, argmax = maxpool3d(x, *layer)
+            x, argmax = maxpool3d(x)
             if state.cache is not None:
                 state.cache[name] = argmax
         elif kind == "block":
@@ -241,7 +237,7 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
             g, block_grads = block_backward(layer, params, cache, g, name)
             grads.update(block_grads)
         elif kind == "maxpool":
-            g = maxpool3d_backward(g, cache[name], in_shape, *layer)
+            g = maxpool3d_backward(g, cache[name], in_shape)
         else:
             # the stem's input gradient has no consumer
             unit_backward(name, layer, True, params, cache, g, grads,
@@ -250,17 +246,11 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
 
 
 def model_backward(spec: ModelSpec, params: dict, clip: np.ndarray,
-                   grad_scores: np.ndarray,
-                   mode: str = "train") -> dict[str, np.ndarray]:
-    """Analytic gradients of ``scores . grad_scores`` for every learnable entry."""
-    state = RunState(mode=mode, cache={})
+                   grad_scores: np.ndarray) -> dict[str, np.ndarray]:
+    """Train-mode gradients of ``scores . grad_scores`` per learnable entry."""
+    state = RunState(mode="train", cache={})
     forward_with_state(spec, params, clip, state)
     return backward_from_cache(spec, params, state.cache, grad_scores)
-
-
-def learnable_names(params: dict) -> list[str]:
-    """Bundle entries the optimizer may move (running stats excluded)."""
-    return [k for k in params if not k.endswith((".mean", ".var"))]
 
 
 # -- checkpoint container ----------------------------------------------------
@@ -283,20 +273,24 @@ def config_from_text(text: str) -> ModelConfig:
             continue
         if "=" not in line:
             raise CheckpointError(f"config line {lineno} is not key=value: {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in fields:
+            raise CheckpointError(f"config text repeats key {key!r}")
+        fields[key] = value
     try:
         values = dict(
-            model_kind=fields["model_kind"],
-            clip_len=int(fields["clip_len"]),
-            input_size=(int(fields["input_h"]), int(fields["input_w"])),
-            branch_count=int(fields["branch_count"]),
-            width_multiplier=Fraction(fields["width_multiplier"]),
-            seed=int(fields["seed"]))
+            model_kind=fields.pop("model_kind"),
+            clip_len=int(fields.pop("clip_len")),
+            input_size=(int(fields.pop("input_h")), int(fields.pop("input_w"))),
+            branch_count=int(fields.pop("branch_count")),
+            width_multiplier=Fraction(fields.pop("width_multiplier")),
+            seed=int(fields.pop("seed")))
     except KeyError as exc:
         raise CheckpointError(f"config text missing field {exc}") from None
     except (ValueError, ZeroDivisionError) as exc:
         raise CheckpointError(f"config text has a bad value: {exc}") from None
+    if fields:
+        raise CheckpointError(f"config text has unknown key {min(fields)!r}")
     return ModelConfig(**values)
 
 

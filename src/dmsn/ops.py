@@ -25,6 +25,8 @@ import numpy as np
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# the model's one max pool: (kernel, stride, padding)
+POOL_GEOMETRY = ((3, 3, 3), (2, 2, 2), (1, 1, 1))
 AXIS_NAMES = ("batch", "channel", "time", "height", "width")
 
 
@@ -36,12 +38,12 @@ class GeometryError(ValueError):
     """A layer's geometry produces an empty output extent."""
 
 
-def check_tensor5(x: np.ndarray, what: str = "input") -> None:
+def check_tensor5(x: np.ndarray) -> None:
     if not isinstance(x, np.ndarray) or x.ndim != 5:
-        raise ShapeError(f"{what} must be a 5-d array (n, c, t, h, w), got "
+        raise ShapeError("input must be a 5-d array (n, c, t, h, w), got "
                          f"{getattr(x, 'shape', None)}")
     if any(e < 1 for e in x.shape):
-        raise ShapeError(f"{what} has an empty extent: {x.shape}")
+        raise ShapeError(f"input has an empty extent: {x.shape}")
 
 
 @dataclass(frozen=True)
@@ -313,16 +315,15 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
             gb.astype(weights.dtype, copy=False))
 
 
-def maxpool3d(x: np.ndarray, kernel=(3, 3, 3), stride=(2, 2, 2),
-              padding=(1, 1, 1)):
-    """Max over sliding windows; padding contributes -inf.
+def maxpool3d(x: np.ndarray):
+    """Max over the :data:`POOL_GEOMETRY` windows; padding contributes -inf.
 
     Returns ``(y, argmax)`` where ``argmax`` holds the flat kernel-offset index
     of the winning element (first occurrence on ties), consumed by the backward.
     """
     check_tensor5(x)
-    n, c, to, ho, wo = window_output_shape(x.shape, kernel, stride, padding)
-    kt, kh, kw = kernel
+    (kt, kh, kw), stride, padding = POOL_GEOMETRY
+    n, c, to, ho, wo = window_output_shape(x.shape, *POOL_GEOMETRY)
     xp = _pad5(x, padding, value=-np.inf)
     best = np.full((n, c, to, ho, wo), -np.inf, dtype=x.dtype)
     idx = np.zeros((n, c, to, ho, wo), dtype=np.int16)
@@ -338,11 +339,10 @@ def maxpool3d(x: np.ndarray, kernel=(3, 3, 3), stride=(2, 2, 2),
     return best, idx
 
 
-def maxpool3d_backward(grad_out: np.ndarray, argmax: np.ndarray, x_shape,
-                       kernel=(3, 3, 3), stride=(2, 2, 2), padding=(1, 1, 1)):
+def maxpool3d_backward(grad_out: np.ndarray, argmax: np.ndarray, x_shape):
     """Route each output gradient to the input position that won its window."""
     n, c, t, h, w = x_shape
-    kt, kh, kw = kernel
+    (kt, kh, kw), stride, padding = POOL_GEOMETRY
     to, ho, wo = grad_out.shape[2:]
     pt, ph, pw = padding
     gxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, w + 2 * pw),

@@ -36,19 +36,12 @@ def quantize_pspi(level: int) -> int:
     return PSPI_TO_ORDINAL[int(level)]
 
 
-def clip_label(frame_labels, order: str = "quantize-then-average") -> float:
-    """Scalar label for a clip from its per-frame pain levels.
-
-    Default quantizes each frame to the ordinal scale first and averages the
-    result; ``average-then-quantize`` is the reverse reading.
-    """
+def clip_label(frame_labels) -> float:
+    """Scalar label for a clip from its per-frame pain levels: each frame is
+    quantized to the ordinal scale first, and the results are averaged."""
     if len(frame_labels) == 0:
         raise ValueError("clip_label needs at least one frame label")
-    if order == "quantize-then-average":
-        return float(np.mean([quantize_pspi(v) for v in frame_labels]))
-    if order == "average-then-quantize":
-        return float(quantize_pspi(int(round(float(np.mean(frame_labels))))))
-    raise ValueError(f"unknown labeling order {order!r}")
+    return float(np.mean([quantize_pspi(v) for v in frame_labels]))
 
 
 def bdi_severity_band(score) -> str:
@@ -151,8 +144,7 @@ class ClipDataset:
                            [c for c in self.clips if c.subject_id in keep])
 
 
-def segment_clips(video: VideoRecord, clip_len: int,
-                  label_order: str = "quantize-then-average"):
+def segment_clips(video: VideoRecord, clip_len: int):
     """Non-overlapping ``clip_len`` windows from frame 0; the remainder drops.
 
     Returns ``(clips, short_warning)`` -- the warning flags a video shorter
@@ -166,7 +158,7 @@ def segment_clips(video: VideoRecord, clip_len: int,
     for k in range(count):
         lo, hi = k * clip_len, (k + 1) * clip_len
         if video.label_kind == "frame":
-            label = clip_label(video.frame_labels[lo:hi], label_order)
+            label = clip_label(video.frame_labels[lo:hi])
         else:
             label = float(video.video_label)
         clips.append(Clip(video.subject_id, video.video_id, k, label,
@@ -174,11 +166,10 @@ def segment_clips(video: VideoRecord, clip_len: int,
     return clips, count == 0
 
 
-def dataset_from_videos(videos, clip_len: int,
-                        label_order: str = "quantize-then-average") -> ClipDataset:
+def dataset_from_videos(videos, clip_len: int) -> ClipDataset:
     ds = ClipDataset(clip_len)
     for video in videos:
-        clips, _ = segment_clips(video, clip_len, label_order)
+        clips, _ = segment_clips(video, clip_len)
         ds.clips.extend(clips)
     return ds
 
@@ -352,7 +343,7 @@ def save_manifest(dataset: ClipDataset, manifest_path, data_dir=None) -> None:
             fh.write("\n")
 
 
-def load_manifest(path, load_tensors: bool = True) -> ClipDataset:
+def load_manifest(path) -> ClipDataset:
     """Parse a manifest; malformed lines fail with their line number."""
     path = os.fspath(path)
     base = os.path.dirname(path) or "."
@@ -374,25 +365,22 @@ def load_manifest(path, load_tensors: bool = True) -> ClipDataset:
                 label = float(label_text)
             except ValueError:
                 raise ManifestError(f"line {lineno}: bad numeric field") from None
-            data = None
-            if load_tensors:
-                tensor = tensorfile.read_tensor(os.path.join(base, tensor_file))
-                n, c, t, h, w = tensor.shape
-                if n != 1:
-                    raise ManifestError(f"line {lineno}: clip tensor holds {n} "
-                                        f"samples, expected 1")
-                if c != 3:
-                    raise ManifestError(f"line {lineno}: clip tensor has {c} "
-                                        f"channels, expected 3")
-                data = tensor[0]
-                if clip_len is None:
-                    clip_len, frame = t, (h, w)
-                elif t != clip_len:
-                    raise ManifestError(f"line {lineno}: clip length "
-                                        f"{t} != {clip_len}")
-                elif (h, w) != frame:
-                    raise ManifestError(f"line {lineno}: frame size {(h, w)} "
-                                        f"!= {frame}")
-            clips.append(Clip(subject, video, index, label, data=data,
+            tensor = tensorfile.read_tensor(os.path.join(base, tensor_file))
+            n, c, t, h, w = tensor.shape
+            if n != 1:
+                raise ManifestError(f"line {lineno}: clip tensor holds {n} "
+                                    f"samples, expected 1")
+            if c != 3:
+                raise ManifestError(f"line {lineno}: clip tensor has {c} "
+                                    f"channels, expected 3")
+            if clip_len is None:
+                clip_len, frame = t, (h, w)
+            elif t != clip_len:
+                raise ManifestError(f"line {lineno}: clip length "
+                                    f"{t} != {clip_len}")
+            elif (h, w) != frame:
+                raise ManifestError(f"line {lineno}: frame size {(h, w)} "
+                                    f"!= {frame}")
+            clips.append(Clip(subject, video, index, label, data=tensor[0],
                               tensor_file=tensor_file))
     return ClipDataset(clip_len or 0, clips)

@@ -154,8 +154,6 @@ class TrainConfig:
     loss: str = "mse"
     seed: int = 0
     max_steps: int | None = None
-    weight_decay: float = 1e-4
-    lr_override: float | None = None
 
     def resolved_epochs(self) -> int:
         if self.epochs is not None:
@@ -220,17 +218,13 @@ def train(model_config: ModelConfig, dataset, config: TrainConfig,
     if params is None:
         params = init_params(spec)
     schedule = SCHEDULES[config.schedule]
-    state = init_optimizer(config.optimizer,
-                           lr_at(schedule, 0) if config.lr_override is None
-                           else config.lr_override,
-                           weight_decay=config.weight_decay)
+    state = init_optimizer(config.optimizer, lr_at(schedule, 0))
     shuffle_rng = np.random.default_rng(config.seed)
     history = TrainHistory(seed=config.seed, config=config)
     step = 0
     done = False
     for epoch in range(config.resolved_epochs()):
-        if config.lr_override is None:
-            state.lr = lr_at(schedule, epoch)
+        state.lr = lr_at(schedule, epoch)
         for batch in _batches(len(clips), config.batch_size, shuffle_rng):
             x = np.stack([clips[i] for i in batch])
             y = labels[batch]

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from dmsn import cli
 from dmsn.cli import main
 
 
@@ -116,6 +117,23 @@ def test_unparsable_option_value_is_usage_error(capsys, argv, flag):
     assert code == 2 and err.startswith("usage error") and flag in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["describe", "--bogus"],
+    # --seed and --format belong only to the subcommands that read them
+    ["describe", "--format", "csv"],
+    ["describe", "--seed", "1"],
+    ["eval", "--seed", "1"],
+], ids=["bogus", "describe-format", "describe-seed", "eval-seed"])
+def test_undeclared_flag_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and f"unrecognized arguments: {argv[1]}" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "describe", "--help")
+    assert code == 0 and out.startswith("usage: dmsn describe")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["describe", "--width", "1/64"], "mid channels 1 not divisible by 2"),
     (["describe", "--width", "1/32"], "mid channels 2 cannot feed 4 branches"),
@@ -140,6 +158,12 @@ class TestConfigOverlay:
         cfg.write_text("bogus=1\n")
         code, _, err = run(capsys, "describe", "--config", str(cfg))
         assert code == 2 and "bogus" in err
+
+    def test_config_key_of_undeclared_flag_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1\n")
+        code, _, err = run(capsys, "describe", "--config", str(cfg))
+        assert code == 2 and "unknown config keys: seed" in err
 
     def test_unparsable_config_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -217,19 +241,20 @@ class TestSynthTrainEval:
         assert out.startswith("overall")
         assert "mae" in out and "rmse" in out and "mse" in out
 
-    def test_eval_loso_reports_fold_per_subject(self, workspace, capsys):
+    def test_eval_per_subject_reports_each_subject(self, workspace, capsys):
         code, out, _ = run(capsys, "eval", "--data",
                            str(workspace / "data/manifest.tsv"),
                            "--checkpoint", str(workspace / "model.ckpt"),
-                           "--loso", "--aggregate", "median",
+                           "--per-subject", "--aggregate", "median",
                            "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "scope,subjects,clips,mae,rmse,mse"
-        scopes = [ln.split(",")[0] for ln in lines[1:]]
-        assert scopes.count("fold1") == 1
-        assert scopes.count("fold3") == 1
-        assert "loso-pooled" in scopes and "video-median" in scopes
+        rows = [ln.split(",")[:3] for ln in lines[1:]]
+        assert [r[0] for r in rows] == ["overall", "subject", "subject",
+                                        "subject", "video-median"]
+        assert [r[1] for r in rows[1:4]] == ["s001", "s002", "s003"]
+        assert sum(int(r[2]) for r in rows[1:4]) == int(rows[0][2])
 
     def test_eval_geometry_mismatch_fails(self, workspace, tmp_path, capsys):
         code = main(["synth", "--clips", "4", "--frames", "4", "--size", "16",
@@ -265,20 +290,24 @@ class TestSynthTrainEval:
         assert [r[1] for r in records] == ["0", "1", "2"]  # 1 step per epoch
         assert [float(r[2]) for r in records] == [0.005, 0.0005, 0.0005]
 
-    def test_eval_loso_single_subject_fails(self, workspace, tmp_path, capsys):
-        code = main(["synth", "--clips", "2", "--frames", "8", "--size", "16",
-                     "--subjects", "1", "--seed", "9",
-                     "--out", str(tmp_path / "solo")])
+    def test_eval_per_subject_single_subject(self, workspace, tmp_path,
+                                            capsys):
+        code, _, _ = run(capsys, "synth", "--clips", "2", "--frames", "8",
+                         "--size", "16", "--subjects", "1", "--seed", "9",
+                         "--out", str(tmp_path / "solo"))
         assert code == 0
-        code, _, err = run(capsys, "eval", "--data",
+        code, out, _ = run(capsys, "eval", "--data",
                            str(tmp_path / "solo/manifest.tsv"),
                            "--checkpoint", str(workspace / "model.ckpt"),
-                           "--loso")
-        assert code == 1 and "subject" in err
+                           "--per-subject")
+        assert code == 0
+        assert [ln.split()[:2] for ln in out.splitlines()] == [
+            ["overall", "all"], ["subject", "s001"]]
 
     def test_gradcheck_rejects_unknown_scale(self, capsys):
-        code, _, err = run(capsys, "gradcheck", "--scale", "full")
-        assert code == 2 and "scale" in err
+        # micro was the flag's one legal value; the flag itself is gone
+        code, _, err = run(capsys, "gradcheck", "--scale", "micro")
+        assert code == 2 and "unrecognized arguments: --scale" in err
 
     def test_identical_train_invocations_identical_checkpoints(
             self, workspace, tmp_path):
@@ -290,3 +319,45 @@ class TestSynthTrainEval:
         main(args + ["--out", str(tmp_path / "two.ckpt")])
         assert (tmp_path / "one.ckpt").read_bytes() == \
             (tmp_path / "two.ckpt").read_bytes()
+
+
+class _ReadRecorder(dict):
+    """The resolved option values, noting each key that is read."""
+
+    def __init__(self, values, reads):
+        super().__init__(values)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_declared_option_is_read(tmp_path, monkeypatch):
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "m.ckpt")
+    model = ["--frames", "8", "--size", "16", "--width", "1/8"]
+    runs = {
+        "describe": [],
+        "count": [],
+        "synth": ["--clips", "2", "--frames", "8", "--size", "16",
+                  "--out", data],
+        "train": ["--data", data + "/manifest.tsv", "--steps", "1",
+                  "--out", ckpt] + model,
+        "eval": ["--data", data + "/manifest.tsv", "--checkpoint", ckpt],
+        "gradcheck": [],
+    }
+    resolve, model_config = cli._resolve, cli._model_config
+    for command, argv in runs.items():
+        reads = set()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_resolve", lambda ns, opts: _ReadRecorder(
+                resolve(ns, opts), reads))
+            # cmd_count hands _model_config copies of the values
+            patch.setattr(cli, "_model_config", lambda values: model_config(
+                _ReadRecorder(values, reads)))
+            patch.setattr(cli, "run_gradient_suites",
+                          lambda seed, inject_bug: [])
+            assert main([command] + argv) == 0, command
+        declared = {opt.dest for opt in cli.SUBCOMMANDS[command]
+                    + cli.GLOBAL_OPTS} - {"config"}   # _resolve consumes it
+        assert declared - reads == set(), command

@@ -321,6 +321,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=cause):
             _load(tmp_path, _checkpoint_bytes(text, _entries(params)))
 
+    @pytest.mark.parametrize("extra, message", [
+        ("colour=blue\n", "unknown key 'colour'"),
+        ("seed=5\n", "repeats key 'seed'")], ids=["unknown", "repeated"])
+    def test_config_text_loads_exactly(self, tmp_path, extra, message):
+        spec, params, _ = micro_setup(seed=21)
+        text = config_to_text(spec.config) + extra
+        with pytest.raises(CheckpointError, match=message):
+            _load(tmp_path, _checkpoint_bytes(text, _entries(params)))
+
     def test_config_text_not_utf8(self, tmp_path):
         spec, params, _ = micro_setup(seed=15)
         raw = _checkpoint_bytes(config_to_text(spec.config),

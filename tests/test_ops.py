@@ -251,16 +251,14 @@ class TestPooling:
         np.testing.assert_array_equal(y, np.full_like(y, 3.25))
 
     def test_backward_routes_to_argmax(self):
-        x = np.zeros((1, 1, 1, 1, 2))
-        x[0, 0, 0, 0, 0] = 1.0
-        x[0, 0, 0, 0, 1] = 5.0
-        y, idx = ops.maxpool3d(x, kernel=(1, 1, 2), stride=(1, 1, 2),
-                               padding=(0, 0, 0))
-        assert y[0, 0, 0, 0, 0] == 5.0
-        gx = ops.maxpool3d_backward(np.ones_like(y), idx, x.shape,
-                                    kernel=(1, 1, 2), stride=(1, 1, 2),
-                                    padding=(0, 0, 0))
-        np.testing.assert_array_equal(gx[0, 0, 0, 0], [0.0, 1.0])
+        # two overlapping windows along w, {-1, 0, 1} and {1, 2, 3}, both won
+        # by w = 1, which collects both output gradients
+        x = np.array([1.0, 5.0, 2.0, 3.0]).reshape(1, 1, 1, 1, 4)
+        y, idx = ops.maxpool3d(x)
+        np.testing.assert_array_equal(y[0, 0, 0, 0], [5.0, 5.0])
+        gx = ops.maxpool3d_backward(np.array([1.0, 10.0]).reshape(y.shape),
+                                    idx, x.shape)
+        np.testing.assert_array_equal(gx[0, 0, 0, 0], [0.0, 11.0, 0.0, 0.0])
 
     def test_max_equals_naive_windows(self):
         rng = np.random.default_rng(4)

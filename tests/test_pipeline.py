@@ -82,10 +82,6 @@ class TestClipLabels:
         # raw [6,6,1,1] -> quantized [5,5,1,1] -> 3.0
         assert clip_label([6, 6, 1, 1]) == 3.0
 
-    def test_average_then_quantize_switch(self):
-        # mean of [6,6,1,1] = 3.5 -> rounds to 4 -> ordinal 4
-        assert clip_label([6, 6, 1, 1], order="average-then-quantize") == 4.0
-
     def test_frame_labeled_video_segments_with_labels(self):
         video = make_video(8, frame_labels=[0, 0, 0, 0, 6, 6, 1, 1])
         clips, _ = segment_clips(video, 4)
@@ -255,16 +251,17 @@ class TestManifest:
         assert back.clips[0].label == 1.23457
 
     def test_missing_field_cites_line_number(self, tmp_path):
+        write_tensor(tmp_path / "x.dmsn", np.zeros((1, 3, 4, 8, 8), np.float32))
         path = tmp_path / "bad.tsv"
         path.write_text("s1\tv1\t0\tx.dmsn\t1.0\ns2\tv2\t0\n")
         with pytest.raises(ManifestError, match="line 2"):
-            load_manifest(path, load_tensors=False)
+            load_manifest(path)
 
     def test_bad_number_cites_line_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("s1\tv1\tzero\tx.dmsn\t1.0\n")
         with pytest.raises(ManifestError, match="line 1"):
-            load_manifest(path, load_tensors=False)
+            load_manifest(path)
 
 
     def _manifest_of(self, tmp_path, shapes):

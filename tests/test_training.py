@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dmsn.model import ModelConfig
+from dmsn.model import ModelConfig, build_model, init_params
 from dmsn.pipeline import SynthConfig, synth_generate
 from dmsn.training import (SCHEDULES, OptimizerState, TrainConfig,
                            TrainingDiverged, adam_step, history_lines,
                            init_optimizer, lr_at, mae_loss, mse_loss,
-                           save_history, sgd_step, train)
+                           save_history, sgd_step, train, train_step)
 
 MICRO = ModelConfig(clip_len=8, input_size=(16, 16),
                     width_multiplier=Fraction(1, 8))
@@ -174,14 +174,18 @@ def tiny_dataset(count=8, seed=0):
 class TestTrainLoop:
     def test_zero_lr_leaves_learnables_bitwise(self):
         ds = tiny_dataset()
-        config = TrainConfig(optimizer="sgd", schedule="pain", epochs=1,
-                             seed=1, lr_override=0.0, weight_decay=0.0)
-        from dmsn.model import build_model, init_params, learnable_names
         spec = build_model(MICRO)
         before = init_params(spec)
-        params, _ = train(MICRO, ds, config, params=dict(before))
-        for name in learnable_names(before):
+        state = init_optimizer("sgd", 0.0, weight_decay=0.0)
+        params, _ = train_step(spec, dict(before), np.stack(ds.clip_arrays()),
+                               ds.labels(), state, "mse")
+        stats = {k for k in before if k.endswith((".mean", ".var"))}
+        # the optimizer keeps a slot for every entry that got a gradient
+        assert set(state.slots) == set(before) - stats
+        for name in state.slots:
             assert params[name].tobytes() == before[name].tobytes(), name
+        for name in stats:
+            assert not np.array_equal(params[name], before[name]), name
 
     def test_loss_decreases_on_tiny_run(self):
         ds = tiny_dataset(count=16, seed=3)
