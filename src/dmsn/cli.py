@@ -28,8 +28,8 @@ from .pipeline import (DatasetError, ManifestError, SynthConfig,
                        aggregate_video_score, format_synth_config,
                        load_manifest, metric_mae, metric_mse, metric_rmse,
                        save_manifest, synth_generate)
-from .training import (SCHEDULES, TrainConfig, TrainingDiverged,
-                       predict_scores, save_history, train)
+from .training import (LOSSES, OPTIMIZER_STEPS, SCHEDULES, TrainConfig,
+                       TrainingDiverged, predict_scores, save_history, train)
 
 
 class CliError(Exception):
@@ -80,6 +80,7 @@ GLOBAL_OPTS = (
     Opt("--out", str, None, "output path (default: stdout / cwd)"),
 )
 SEED_OPT = Opt("--seed", int, 0, "random seed")
+FORMATS = ("text", "csv")
 FORMAT_OPT = Opt("--format", str, "text", "output format: text or csv")
 
 MODEL_OPTS = (
@@ -206,6 +207,13 @@ def _model_config(values: dict) -> ModelConfig:
                        width_multiplier=values["width"])
 
 
+def _check_choice(values: dict, dest: str, valid) -> None:
+    """A value outside ``valid`` is a usage error that lists the valid ones."""
+    if values[dest] not in valid:
+        raise UsageError(f"unknown {dest} {values[dest]!r}; valid: "
+                         f"{', '.join(valid)}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -264,8 +272,8 @@ def cmd_describe(values: dict) -> int:
 
 
 def cmd_count(values: dict) -> int:
-    if values["convention"] not in ("mac1", "mac2"):
-        raise UsageError(f"unknown convention {values['convention']!r}")
+    _check_choice(values, "convention", ("mac1", "mac2"))
+    _check_choice(values, "format", FORMATS)
     reports = []
     for kind in values["model"]:
         for branches in values["branches"]:
@@ -317,9 +325,9 @@ def cmd_train(values: dict) -> int:
         raise UsageError("train needs --data <manifest>")
     if values["out"] is None:
         raise UsageError("train needs --out <checkpoint path>")
-    if values["schedule"] not in SCHEDULES:
-        raise UsageError(f"unknown schedule {values['schedule']!r}; valid: "
-                         f"{', '.join(SCHEDULES)}")
+    _check_choice(values, "schedule", SCHEDULES)
+    _check_choice(values, "optimizer", OPTIMIZER_STEPS)
+    _check_choice(values, "loss", LOSSES)
     dataset = load_manifest(values["data"])
     model_config = replace(_model_config(values), seed=values["seed"])
     train_config = TrainConfig(optimizer=values["optimizer"],
@@ -366,6 +374,7 @@ def _metric_rows(scores: np.ndarray, labels: np.ndarray, dataset, values: dict):
 def cmd_eval(values: dict) -> int:
     if values["data"] is None or values["checkpoint"] is None:
         raise UsageError("eval needs --data <manifest> and --checkpoint <file>")
+    _check_choice(values, "format", FORMATS)
     spec, params = load_checkpoint(values["checkpoint"])
     dataset = load_manifest(values["data"])
     scores = predict_scores(spec, params, dataset.clip_arrays(),

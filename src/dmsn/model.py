@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -312,55 +313,65 @@ def save_checkpoint(spec: ModelSpec, params: dict, path) -> None:
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
             arr = params[name]
-            fh.write(tensorfile.tensor_to_bytes(
-                arr.reshape(_pad_shape5(arr.shape))))
+            tensorfile.tensor_to_stream(fh, arr.reshape(_pad_shape5(arr.shape)))
 
 
 def load_checkpoint(path):
-    """Rebuild ``(ModelSpec, params)``; bit-exact with what was saved."""
+    """Rebuild ``(ModelSpec, params)``; bit-exact with what was saved.
+
+    Parses straight from the open file: each payload is read into the array
+    that is returned, and every length is checked against the file's size
+    before anything is allocated for it.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    stream = io.BytesIO(data)
-    if stream.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
-        raise CheckpointError("bad checkpoint magic bytes")
-    (version,) = struct.unpack("<I", _take(stream, 4))
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", _take(stream, 4))
-    try:
-        spec = build_model(config_from_text(
-            _utf8(_take(stream, cfg_len), "config text")))
-    except (ConfigError, BlockConfigError) as exc:
-        raise CheckpointError(f"the model rejects the checkpoint config: "
-                              f"{exc}") from exc
-    shapes = param_shapes(spec)
-    (count,) = struct.unpack("<I", _take(stream, 4))
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", _take(stream, 4))
-        name = _utf8(_take(stream, name_len), "entry name")
-        if name not in shapes:
-            raise CheckpointError(f"checkpoint entry {name!r} not in model")
-        if name in params:
-            raise CheckpointError(f"duplicate checkpoint entry {name!r}")
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+            raise CheckpointError("bad checkpoint magic bytes")
+        (version,) = struct.unpack("<I", _take(fh, 4, size))
+        if version != CKPT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        (cfg_len,) = struct.unpack("<I", _take(fh, 4, size))
         try:
-            blob = tensorfile.tensor_from_stream(stream)
-        except tensorfile.TensorFileError as exc:
-            raise CheckpointError(f"entry {name!r}: {exc}") from exc
-        if blob.size != math.prod(shapes[name]):
-            raise CheckpointError(f"entry {name!r} holds {blob.size} values, "
-                                  f"the model's shape is {shapes[name]}")
-        params[name] = blob.reshape(shapes[name])
-    if stream.tell() != len(data):
-        raise CheckpointError(f"{len(data) - stream.tell()} bytes after the "
-                              f"last checkpoint entry")
+            spec = build_model(config_from_text(
+                _utf8(_take(fh, cfg_len, size), "config text")))
+        except (ConfigError, BlockConfigError) as exc:
+            raise CheckpointError(f"the model rejects the checkpoint config: "
+                                  f"{exc}") from exc
+        shapes = param_shapes(spec)
+        (count,) = struct.unpack("<I", _take(fh, 4, size))
+        params: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", _take(fh, 4, size))
+            name = _utf8(_take(fh, name_len, size), "entry name")
+            if name not in shapes:
+                raise CheckpointError(f"checkpoint entry {name!r} not in model")
+            if name in params:
+                raise CheckpointError(f"duplicate checkpoint entry {name!r}")
+            try:
+                blob = tensorfile.tensor_from_stream(fh, size)
+            except tensorfile.TensorFileError as exc:
+                raise CheckpointError(f"entry {name!r}: {exc}") from exc
+            if blob.size != math.prod(shapes[name]):
+                raise CheckpointError(f"entry {name!r} holds {blob.size} "
+                                      f"values, the model's shape is "
+                                      f"{shapes[name]}")
+            params[name] = blob.reshape(shapes[name])
+        if fh.tell() != size:
+            raise CheckpointError(f"{size - fh.tell()} bytes after the "
+                                  f"last checkpoint entry")
     missing = set(shapes) - set(params)
     if missing:
         raise CheckpointError(f"checkpoint missing entries: {sorted(missing)[:3]}...")
     return spec, params
 
 
-def _take(stream: io.BytesIO, count: int) -> bytes:
+def _take(stream: io.BufferedIOBase, count: int, size: int) -> bytes:
+    """The next ``count`` bytes of a ``size``-byte file.
+
+    A count beyond the file's size fails before ``read`` allocates for it.
+    """
+    if count > size:
+        raise CheckpointError("truncated checkpoint")
     raw = stream.read(count)
     if len(raw) != count:
         raise CheckpointError("truncated checkpoint")

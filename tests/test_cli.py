@@ -106,6 +106,11 @@ class TestCount:
         code, _, err = run(capsys, "count", "--convention", "mac3")
         assert code == 2 and "convention" in err
 
+    def test_bad_format_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "count", "--format", "xml")
+        assert code == 2 and out == ""
+        assert "unknown format 'xml'; valid: text, csv" in err
+
 
 @pytest.mark.parametrize("argv, flag", [
     (["describe", "--width", "1/0"], "--width"),
@@ -274,6 +279,26 @@ class TestSynthTrainEval:
                            str(workspace / "data/manifest.tsv"),
                            "--schedule", "warmup", "--out", "/tmp/x.ckpt")
         assert code == 2 and "schedule" in err
+
+    @pytest.mark.parametrize("flag, value, valid", [
+        ("--loss", "huber", "mse, mae"),
+        ("--optimizer", "lbfgs", "sgd, adam")], ids=["loss", "optimizer"])
+    def test_train_rejects_unknown_name(self, workspace, tmp_path, capsys,
+                                        flag, value, valid):
+        out = tmp_path / "x.ckpt"
+        code, _, err = run(capsys, "train", "--data",
+                           str(workspace / "data/manifest.tsv"),
+                           flag, value, "--out", str(out))
+        assert code == 2 and f"unknown {flag[2:]} {value!r}; valid: {valid}" in err
+        assert not out.exists()
+
+    def test_eval_rejects_unknown_format(self, workspace, capsys):
+        code, out, err = run(capsys, "eval", "--data",
+                             str(workspace / "data/manifest.tsv"),
+                             "--checkpoint", str(workspace / "model.ckpt"),
+                             "--format", "xml")
+        assert code == 2 and out == ""
+        assert "unknown format 'xml'; valid: text, csv" in err
 
     def test_depression_schedule_defaults_three_epochs_two_phase(
             self, workspace, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Architecture assembly, whole-model execution, checkpoints."""
 
+import collections
+import io
 import struct
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from dmsn.model import (CheckpointError, ConfigError, ModelConfig,
                         model_forward, param_shapes, reset_head,
                         save_checkpoint, stage_extents)
 from dmsn.ops import ShapeError
-from dmsn.tensorfile import tensor_to_bytes
+from dmsn.tensorfile import tensor_to_stream
 
 MICRO = ModelConfig(clip_len=8, input_size=(32, 32),
                     width_multiplier=Fraction(1, 8))
@@ -230,12 +232,13 @@ def _checkpoint_bytes(config_text: str, entries) -> bytes:
     """A checkpoint file in the saved layout: config text, then ``entries``
     given as ``(raw name bytes, array)`` pairs."""
     cfg = config_text.encode("utf-8")
-    out = [b"DMSNCKPT", struct.pack("<II", 1, len(cfg)), cfg,
-           struct.pack("<I", len(entries))]
+    out = io.BytesIO()
+    out.write(b"DMSNCKPT" + struct.pack("<II", 1, len(cfg)) + cfg
+              + struct.pack("<I", len(entries)))
     for name, arr in entries:
-        out += [struct.pack("<I", len(name)), name,
-                tensor_to_bytes(arr.reshape((1,) * (5 - arr.ndim) + arr.shape))]
-    return b"".join(out)
+        out.write(struct.pack("<I", len(name)) + name)
+        tensor_to_stream(out, arr.reshape((1,) * (5 - arr.ndim) + arr.shape))
+    return out.getvalue()
 
 
 def _entries(params):
@@ -361,6 +364,59 @@ class TestCheckpoint:
                                 _entries(params))
         with pytest.raises(CheckpointError, match="1 bytes after"):
             _load(tmp_path, raw + b"\0")
+
+    def test_fuzzed_file_loads_or_raises_checkpoint_error(self, tmp_path):
+        """Seeded truncations, single-bit flips in the first 400 bytes and one
+        appended byte: each case loads or raises ``CheckpointError``, and no
+        other exception type escapes.  The file is edited in place."""
+        spec, params, _ = micro_setup(seed=22)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(spec, params, path)
+        size = path.stat().st_size
+        rng = np.random.default_rng(9)
+        lengths = rng.choice(size, size=300, replace=False)
+        flips = zip(rng.integers(0, 400, size=600), rng.integers(0, 8, size=600))
+
+        def outcome() -> str:
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                return "error"
+            return "load"
+
+        def poke(fh, pos: int, value: int) -> None:
+            fh.seek(pos)
+            fh.write(bytes([value]))
+            fh.flush()
+
+        flipped = collections.Counter()
+        with open(path, "r+b") as fh:
+            for pos, bit in flips:
+                fh.seek(pos)
+                (byte,) = fh.read(1)
+                poke(fh, pos, byte ^ (1 << bit))
+                flipped[outcome()] += 1
+                poke(fh, pos, byte)
+            poke(fh, size, 0)   # one appended byte
+            assert outcome() == "error"
+            truncated = set()
+            for n in sorted(lengths, reverse=True):
+                fh.truncate(n)
+                fh.flush()
+                truncated.add(outcome())
+        assert truncated == {"error"}
+        assert flipped["error"] > 0 and flipped["load"] > 0, flipped
+
+    def test_u32_max_extent_rejected_before_allocation(self, tmp_path):
+        spec, params, _ = micro_setup(seed=23)
+        entries = _entries(params)
+        raw = bytearray(_checkpoint_bytes(config_to_text(spec.config), entries))
+        # the first tensor header follows the first entry's name
+        header_at = raw.index(entries[0][0]) + len(entries[0][0])
+        assert raw[header_at:header_at + 4] == b"DMSN"
+        raw[header_at + 12:header_at + 16] = struct.pack("<I", 2 ** 32 - 1)
+        with pytest.raises(CheckpointError, match="truncated payload"):
+            _load(tmp_path, bytes(raw))
 
     def test_entry_with_wrong_element_count(self, tmp_path):
         spec, params, _ = micro_setup(seed=19)

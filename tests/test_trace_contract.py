@@ -7,8 +7,10 @@ metrics.  Both rely on the model calling ``blocks.block_forward`` /
 ``unit_backward`` for the stem, through names the tracer can replace.  A
 refactor that keeps functions in tuples or closures, or stops calling them
 per block, empties those metrics; this test runs one micro training step
-under the tracer and checks they are still there.  The perfbench modules are
-only imported, never changed.
+under the tracer and checks they are still there.  The read-side I/O metrics
+count the bytes of every ``tensorfile.tensor_from_stream`` call, so a
+checkpoint round trip checks that loading still goes through it.  The
+perfbench modules are only imported, never changed.
 """
 
 import sys
@@ -16,8 +18,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from dmsn import complexity, model, training
+from dmsn import complexity, model, tensorfile, training
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
@@ -53,3 +56,33 @@ def test_micro_train_step_is_fully_traced():
         assert metrics[f"blocks.{stage}.bwd_ms"] > 0, stage
     assert metrics["model.stem.fwd_ms"] > 0
     assert metrics["model.stem.bwd_ms"] > 0
+
+
+def test_checkpoint_reads_are_traced(tmp_path):
+    spec = model.build_model(model.ModelConfig(
+        clip_len=8, input_size=(32, 32), width_multiplier=Fraction(1, 8)))
+    params = model.init_params(spec, seed=0)
+    path = tmp_path / "model.ckpt"
+
+    def round_trip():
+        model.save_checkpoint(spec, params, path)
+        return model.load_checkpoint(path)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, loaded = tracer.run_op(0, round_trip)
+    finally:
+        tracer.uninstall()
+    metrics, _, mismatches, _ = layers.analyse(tracer.spans, {}, None)
+
+    assert mismatches == []
+    assert tracing.leftover_wrappers() == []
+    assert loaded.keys() == params.keys()
+    tensor_bytes = sum(tensorfile._HEADER.size + arr.nbytes
+                       for arr in params.values())
+    assert metrics["io.bytes_read_mb"] == pytest.approx(tensor_bytes / 1e6,
+                                                        rel=1e-12)
+    assert metrics["tensorfile.read.mb_s"] > 0
+    assert metrics["model.load_checkpoint.ms"] > 0
+    assert metrics["model.save_checkpoint.ms"] > 0
