@@ -172,7 +172,11 @@ def _read_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key in values:
+                    raise UsageError(f"{path}:{lineno}: config key {key!r} "
+                                     f"given twice")
+                values[key] = value.strip()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     return values

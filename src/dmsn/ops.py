@@ -13,8 +13,9 @@ A conv forward reduces one temporal tap per GEMM, each GEMM splits its
 reduction axis at fixed offsets (``_GEMM_DEPTH``), and the pieces are added
 in order, so a float32 forward pass gives the same bytes at 1 and 2 BLAS
 threads.  (Float64 GEMMs on OpenBLAS 0.3.31 can differ between thread counts
-at any depth.)  All functions are pure with respect to their array
-arguments.
+at any depth.)  The max pool shares the conv's window gather
+(:func:`_windows`) and scatter (:func:`_col2im`); a window holding a NaN
+pools to NaN.  All functions are pure with respect to their array arguments.
 """
 
 from __future__ import annotations
@@ -153,16 +154,6 @@ def _crop5(xp: np.ndarray, padding, shape) -> np.ndarray:
     return xp[:, :, pt:pt + t, ph:ph + h, pw:pw + w]
 
 
-def _offset_slice(xp: np.ndarray, offset, stride, out_tail):
-    dt, dh, dw = offset
-    st, sh, sw = stride
-    to, ho, wo = out_tail
-    return xp[:, :,
-              dt:dt + st * to:st,
-              dh:dh + sh * ho:sh,
-              dw:dw + sw * wo:sw]
-
-
 def _windows(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
     """Gather sliding windows of the padded input, channels first.
 
@@ -223,16 +214,20 @@ def _taps(xp: np.ndarray, spec: ConvLayerSpec, out_tail) -> np.ndarray:
     return view.reshape(kt, n, c * kh * kw, to * ho * wo)
 
 
-def _col2im_add(gxp: np.ndarray, gcols: np.ndarray, kernel, stride, out_tail):
-    """Scatter-add window gradients back onto the padded input buffer."""
-    n, c = gxp.shape[:2]
-    kt, kh, kw = kernel
-    g8 = gcols.reshape((n, c, kt, kh, kw) + tuple(out_tail))
-    for dt in range(kt):
-        for dh in range(kh):
-            for dw in range(kw):
-                target = _offset_slice(gxp, (dt, dh, dw), stride, out_tail)
-                target += g8[:, :, dt, dh, dw]
+def _col2im(gcols: np.ndarray, x_shape, kernel, stride, padding, out_tail):
+    """The adjoint of :func:`_windows` over :func:`_pad5`: scatter-add window
+    gradients onto a zero padded input, offset by offset, and return its
+    ``x_shape`` interior."""
+    n, c, t, h, w = x_shape
+    pt, ph, pw = padding
+    st, sh, sw = stride
+    to, ho, wo = out_tail
+    gxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, w + 2 * pw), gcols.dtype)
+    g8 = gcols.reshape((n, c) + tuple(kernel) + tuple(out_tail))
+    for dt, dh, dw in np.ndindex(*kernel):
+        gxp[:, :, dt:dt + st * to:st, dh:dh + sh * ho:sh,
+            dw:dw + sw * wo:sw] += g8[:, :, dt, dh, dw]
+    return _crop5(gxp, padding, x_shape)
 
 
 def _check_conv_args(x, spec, weights, bias):
@@ -287,7 +282,7 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     ``tap`` what tap ``dt`` meets in the one gather of :func:`_taps`,
     ``grad_weights[:, :, dt]`` is ``sum_n grad_out[n] @ tap[n].T``.  The
     input gradient is one GEMM, ``weights.T @ grad_out`` over all taps, that
-    :func:`_col2im_add` scatters onto the padded input gradient tap by tap;
+    :func:`_col2im` scatters onto the padded input gradient tap by tap;
     per-tap GEMMs would triple the GEMM calls of the small temporal convs of
     a desk step.
     """
@@ -297,8 +292,7 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {out_shape}")
     n, co, to, ho, wo = out_shape
     kt, kh, kw = spec.kernel
-    xp = _pad5(x, spec.padding)
-    taps = _taps(xp, spec, (to, ho, wo))
+    taps = _taps(_pad5(x, spec.padding), spec, (to, ho, wo))
     go = grad_out.astype(x.dtype, copy=False).reshape(n, co, -1)
     # taps @ go.T, the transpose of go @ taps.T, puts the window rows on the
     # GEMM's long side: twice as fast for the stem.
@@ -308,9 +302,8 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     gx = None
     if need_input_grad:
         w = weights.reshape(co, -1).astype(x.dtype, copy=False)
-        gxp = np.zeros(xp.shape, dtype=x.dtype)
-        _col2im_add(gxp, w.T @ go, spec.kernel, spec.stride, (to, ho, wo))
-        gx = _crop5(gxp, spec.padding, x.shape)
+        gx = _col2im(w.T @ go, x.shape, spec.kernel, spec.stride,
+                     spec.padding, (to, ho, wo))
     return (gx, gw.astype(weights.dtype, order="C"),
             gb.astype(weights.dtype, copy=False))
 
@@ -319,42 +312,30 @@ def maxpool3d(x: np.ndarray):
     """Max over the :data:`POOL_GEOMETRY` windows; padding contributes -inf.
 
     Returns ``(y, argmax)`` where ``argmax`` holds the flat kernel-offset index
-    of the winning element (first occurrence on ties), consumed by the backward.
+    (int16) of the winning element, consumed by the backward.  The windows are
+    the conv's gather (:func:`_windows`): ties go to the first offset, and a
+    window holding a NaN yields NaN.
     """
     check_tensor5(x)
-    (kt, kh, kw), stride, padding = POOL_GEOMETRY
+    kernel, stride, padding = POOL_GEOMETRY
     n, c, to, ho, wo = window_output_shape(x.shape, *POOL_GEOMETRY)
-    xp = _pad5(x, padding, value=-np.inf)
-    best = np.full((n, c, to, ho, wo), -np.inf, dtype=x.dtype)
-    idx = np.zeros((n, c, to, ho, wo), dtype=np.int16)
-    flat = 0
-    for dt in range(kt):
-        for dh in range(kh):
-            for dw in range(kw):
-                xs = _offset_slice(xp, (dt, dh, dw), stride, (to, ho, wo))
-                mask = xs > best
-                best = np.where(mask, xs, best)
-                idx = np.where(mask, np.int16(flat), idx)
-                flat += 1
-    return best, idx
+    cols = _windows(_pad5(x, padding, value=-np.inf), kernel, stride,
+                    (to, ho, wo)).reshape(n, c, -1, to * ho * wo)
+    idx = cols.argmax(axis=2)[:, :, None]
+    y = np.take_along_axis(cols, idx, axis=2)
+    return (y.reshape(n, c, to, ho, wo),
+            idx.astype(np.int16).reshape(n, c, to, ho, wo))
 
 
 def maxpool3d_backward(grad_out: np.ndarray, argmax: np.ndarray, x_shape):
-    """Route each output gradient to the input position that won its window."""
-    n, c, t, h, w = x_shape
-    (kt, kh, kw), stride, padding = POOL_GEOMETRY
-    to, ho, wo = grad_out.shape[2:]
-    pt, ph, pw = padding
-    gxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, w + 2 * pw),
-                   dtype=grad_out.dtype)
-    flat = 0
-    for dt in range(kt):
-        for dh in range(kh):
-            for dw in range(kw):
-                gs = _offset_slice(gxp, (dt, dh, dw), stride, (to, ho, wo))
-                np.add(gs, grad_out, out=gs, where=argmax == flat)
-                flat += 1
-    return _crop5(gxp, padding, x_shape)
+    """Route each output gradient to the input position that won its window:
+    one-hot window columns, scattered as the conv scatters its own."""
+    n, c, to, ho, wo = grad_out.shape
+    kernel, stride, padding = POOL_GEOMETRY
+    cols = np.zeros((n, c, np.prod(kernel), to * ho * wo), grad_out.dtype)
+    np.put_along_axis(cols, argmax.reshape(n, c, 1, -1),
+                      grad_out.reshape(n, c, 1, -1), axis=2)
+    return _col2im(cols, x_shape, kernel, stride, padding, (to, ho, wo))
 
 
 def avgpool_spatial(x: np.ndarray) -> np.ndarray:

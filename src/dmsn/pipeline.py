@@ -365,7 +365,15 @@ def load_manifest(path) -> ClipDataset:
                 label = float(label_text)
             except ValueError:
                 raise ManifestError(f"line {lineno}: bad numeric field") from None
-            tensor = tensorfile.read_tensor(os.path.join(base, tensor_file))
+            if not np.isfinite(label):
+                raise ManifestError(f"line {lineno}: label {label_text!r} of "
+                                    f"{tensor_file} is not finite")
+            tensor_path = os.path.join(base, tensor_file)
+            try:
+                tensor = tensorfile.read_tensor(tensor_path)
+            except (OSError, tensorfile.TensorFileError) as exc:
+                raise ManifestError(f"line {lineno}: tensor file "
+                                    f"{tensor_file}: {exc}") from exc
             n, c, t, h, w = tensor.shape
             if n != 1:
                 raise ManifestError(f"line {lineno}: clip tensor holds {n} "

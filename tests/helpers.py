@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from dmsn.ops import ConvLayerSpec, conv_output_shape
+from dmsn.ops import (POOL_GEOMETRY, ConvLayerSpec, conv_output_shape,
+                      window_output_shape)
 
 
 def naive_conv3d(x, spec: ConvLayerSpec, weights, bias=None):
@@ -51,3 +52,33 @@ def random_conv_case(rng, dtype=np.float32, temporal=False, spatial=False):
     x = rng.normal(size=(int(rng.integers(1, 3)), in_c, t, h, w)).astype(dtype)
     weights = rng.normal(size=spec.weight_shape).astype(dtype)
     return spec, x, weights
+
+
+def naive_maxpool3d(x, grad_out):
+    """Direct-loop oracle for the ``POOL_GEOMETRY`` max pool and its backward.
+
+    Returns ``(y, argmax, grad_x)``: each output's max over its -inf padded
+    window, the flat ``(dt, dh, dw)`` offset of the first element holding it
+    (the first NaN if the window holds one), and ``grad_out`` scattered output
+    by output onto those elements.  The scatter sums in output order, so it
+    matches the library's bytes only where the sums are exact.
+    """
+    (kt, kh, kw), (st, sh, sw), (pt, ph, pw) = POOL_GEOMETRY
+    n, c, to, ho, wo = window_output_shape(x.shape, *POOL_GEOMETRY)
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)),
+                constant_values=-np.inf)
+    gxp = np.zeros(xp.shape, dtype=grad_out.dtype)
+    y = np.empty((n, c, to, ho, wo), dtype=x.dtype)
+    argmax = np.empty((n, c, to, ho, wo), dtype=np.int16)
+    for b, ch, ti, hi, wi in np.ndindex(n, c, to, ho, wo):
+        best, best_at = None, None
+        for flat, (dt, dh, dw) in enumerate(np.ndindex(kt, kh, kw)):
+            at = (b, ch, ti * st + dt, hi * sh + dh, wi * sw + dw)
+            v = xp[at]
+            if best is None or not np.isnan(best) and (np.isnan(v)
+                                                       or v > best):
+                best, best_at, argmax[b, ch, ti, hi, wi] = v, at, flat
+        y[b, ch, ti, hi, wi] = best
+        gxp[best_at] += grad_out[b, ch, ti, hi, wi]
+    return y, argmax, gxp[:, :, pt:pt + x.shape[2], ph:ph + x.shape[3],
+                          pw:pw + x.shape[4]]

@@ -176,6 +176,13 @@ class TestConfigOverlay:
         code, _, err = run(capsys, "describe", "--config", str(cfg))
         assert code == 2 and "--width" in err and "1/0" in err
 
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys):
+        # a later value must not silently replace an earlier, unparsable one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frames=abc\n# comment\nframes=8\n")
+        code, _, err = run(capsys, "describe", "--config", str(cfg))
+        assert code == 2 and "run.cfg:3" in err and "'frames'" in err
+
     def test_missing_config_file_fails(self, capsys):
         code, _, err = run(capsys, "describe", "--config", "/nonexistent.cfg")
         assert code == 1 and "config" in err

@@ -7,7 +7,7 @@ from dmsn import ops
 from dmsn.gradsuite import _conv_case
 from dmsn.ops import ConvLayerSpec, GeometryError, ShapeError
 
-from helpers import naive_conv3d, random_conv_case
+from helpers import naive_conv3d, naive_maxpool3d, random_conv_case
 
 
 class TestConvForward:
@@ -270,6 +270,39 @@ class TestPooling:
             b, c, t, h, w = pick
             window = xp[b, c, 2 * t:2 * t + 3, 2 * h:2 * h + 3, 2 * w:2 * w + 3]
             assert y[pick] == window.max()
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_naive_oracle_bytewise(self, seed):
+        # every fourth case integer-valued (ties), one all -inf; integer-valued
+        # output gradients keep the oracle's output-order sums exact
+        rng = np.random.default_rng(seed)
+        dtype = (np.float32, np.float64)[seed % 2]
+        shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)),
+                 *(int(e) for e in rng.integers(1, 9, size=3)))
+        if seed == 0:
+            x = np.full(shape, -np.inf, dtype)
+        elif seed % 4 == 1:
+            x = rng.integers(-2, 3, size=shape).astype(dtype)
+        else:
+            x = rng.normal(size=shape).astype(dtype)
+        y, idx = ops.maxpool3d(x)
+        g = rng.integers(-8, 9, size=y.shape).astype(dtype)
+        want_y, want_idx, want_gx = naive_maxpool3d(x, g)
+        gx = ops.maxpool3d_backward(g, idx, x.shape)
+        assert idx.dtype == np.int16 and gx.dtype == dtype
+        for got, want in ((y, want_y), (idx, want_idx), (gx, want_gx)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_nan_in_window_propagates(self):
+        x = np.arange(64, dtype=np.float32).reshape(1, 1, 4, 4, 4)
+        x[0, 0, 1, 1, 1] = np.nan
+        y, idx = ops.maxpool3d(x)
+        _, want_idx, _ = naive_maxpool3d(x, np.zeros_like(y))
+        # windows t, h, w in {-1, 0, 1} and {1, 2, 3} all hold (1, 1, 1)
+        assert np.isnan(y).all()
+        np.testing.assert_array_equal(idx, want_idx)
+        assert idx[0, 0, 0, 0, 0] == 26 and idx[0, 0, 1, 1, 1] == 0
 
     def test_spatial_average(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 2, 2)

@@ -290,6 +290,26 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line 3: frame size"):
             load_manifest(path)
 
+    def test_non_finite_label_rejected(self, tmp_path):
+        path = self._manifest_of(tmp_path, [(1, 3, 4, 8, 8)] * 2)
+        path.write_text(path.read_text().replace("1\tc1.dmsn\t1.0",
+                                                 "1\tc1.dmsn\tnan"))
+        with pytest.raises(ManifestError, match="line 2: .*'nan' of c1.dmsn"):
+            load_manifest(path)
+
+    def test_truncated_tensor_names_line_and_file(self, tmp_path):
+        path = self._manifest_of(tmp_path, [(1, 3, 4, 8, 8)] * 2)
+        (tmp_path / "c1.dmsn").write_bytes(b"DMSN\x01")
+        with pytest.raises(ManifestError,
+                           match="line 2: tensor file c1.dmsn: truncated"):
+            load_manifest(path)
+
+    def test_missing_tensor_names_line_and_file(self, tmp_path):
+        path = self._manifest_of(tmp_path, [(1, 3, 4, 8, 8)] * 2)
+        (tmp_path / "c1.dmsn").unlink()
+        with pytest.raises(ManifestError, match="line 2: tensor file c1.dmsn"):
+            load_manifest(path)
+
 
 class TestVideoRecordValidation:
     def test_frame_label_length_checked(self):
