@@ -16,14 +16,15 @@ and the shortcut projection, whose sum is rectified once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ops import (ConvLayerSpec, MacCounter, ShapeError, batchnorm_backward,
-                  batchnorm_forward, concat_channels, conv3d_backward,
-                  conv3d_forward, conv_output_shape, relu_backward,
-                  relu_forward, split_channels)
+                  batchnorm_forward, check_tensor5, concat_channels,
+                  conv3d_backward, conv3d_forward, conv_output_shape,
+                  relu_backward, relu_forward, split_channels)
 
 VARIANTS = ("A", "B", "C")
 TEMPORAL, SPATIAL = "t", "s"
@@ -142,47 +143,42 @@ class RunState:
     counter: MacCounter | None = None
 
 
-INPUT = "input"  # plan source naming the block input
+INPUT = "input"  # graph source naming the block input
 
 
-def block_plan(spec: BlockSpec, prefix: str = "") -> list[tuple]:
-    """Conv units in execution order as ``(name, conv, act, source)``.
+@functools.lru_cache(maxsize=256)
+def block_graph(spec: BlockSpec, prefix: str = "", x_shape=None) -> tuple:
+    """A block's steps in execution order as ``(name, conv, act, sources,
+    out_shape)``.
 
-    ``source`` is ``INPUT``, the name of an earlier unit, or a tuple of unit
-    names whose outputs are concatenated along channels in that order.  Every
-    unit is batch-normalized; ``act`` says whether a rectifier follows.  The
-    fusion output plus the shortcut (the block input, or ``proj`` when the
-    block has a projection) is rectified once.
+    ``sources`` names what a step reads: ``INPUT`` or earlier steps, several
+    of which are concatenated along channels in that order.  Every conv unit
+    is batch-normalized; ``act`` says whether a rectifier follows.  The last
+    step, ``{prefix}sum``, has no conv: it adds the fusion output and the
+    shortcut (the block input, or ``proj`` when the block has a projection)
+    and rectifies the sum.  ``out_shape`` is the step's output shape for
+    block input ``x_shape``, or None when no shape is given.
     """
-    plan = [(f"{prefix}reduce", spec.reduce, True, INPUT)]
+    steps, shapes = [], {INPUT: x_shape}
+
+    def add(name, conv, act, *sources):
+        out = shapes[sources[0]]
+        if conv is not None and out is not None:
+            out = conv_output_shape(out, conv)  # reads no input channels
+        shapes[name] = out
+        steps.append((name, conv, act, sources, out))
+        return name
+
+    tapped = [add(f"{prefix}reduce", spec.reduce, True, INPUT)]
     for i, conv in enumerate(spec.main_stage, start=1):
-        plan.append((f"{prefix}main{i}", conv, True, plan[-1][0]))
-    branches = tuple(f"{prefix}branch{j}"
-                     for j in range(1, spec.branch_count + 1))
-    for name, (tap, conv) in zip(branches, spec.branches):
-        plan.append((name, conv, True, f"{prefix}main{tap}"))
-    plan.append((f"{prefix}fuse", spec.fusion, False, branches))
-    if spec.shortcut is not None:
-        plan.append((f"{prefix}proj", spec.shortcut, False, INPUT))
-    return plan
-
-
-def block_shapes(spec: BlockSpec, x_shape, prefix: str = "") -> dict:
-    """Output shape of every plan unit, by name, for block input ``x_shape``."""
-    shapes = {INPUT: x_shape}
-    for name, conv, _, source in block_plan(spec, prefix):
-        if isinstance(source, tuple):
-            n, _, t, h, w = shapes[source[0]]
-            in_shape = (n, sum(shapes[s][1] for s in source), t, h, w)
-        else:
-            in_shape = shapes[source]
-        shapes[name] = conv_output_shape(in_shape, conv)
-    return shapes
-
-
-def _shortcut_source(spec: BlockSpec, prefix: str = "") -> str:
-    """The plan value added to the fusion output before the final rectifier."""
-    return INPUT if spec.shortcut is None else f"{prefix}proj"
+        tapped.append(add(f"{prefix}main{i}", conv, True, tapped[-1]))
+    branches = [add(f"{prefix}branch{j}", conv, True, tapped[tap])
+                for j, (tap, conv) in enumerate(spec.branches, start=1)]
+    fuse = add(f"{prefix}fuse", spec.fusion, False, *branches)
+    shortcut = INPUT if spec.shortcut is None else add(
+        f"{prefix}proj", spec.shortcut, False, INPUT)
+    add(f"{prefix}sum", None, True, fuse, shortcut)
+    return tuple(steps)
 
 
 def unit_param_shapes(name: str, conv: ConvLayerSpec) -> dict[str, tuple]:
@@ -197,7 +193,7 @@ def unit_param_shapes(name: str, conv: ConvLayerSpec) -> dict[str, tuple]:
 
 def block_param_shapes(spec: BlockSpec, prefix: str = "") -> dict[str, tuple]:
     shapes: dict[str, tuple] = {}
-    for name, conv, _, _ in block_plan(spec, prefix):
+    for name, conv, _, _, _ in block_graph(spec, prefix)[:-1]:
         shapes.update(unit_param_shapes(name, conv))
     return shapes
 
@@ -243,105 +239,98 @@ def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
     return gx
 
 
-def _accumulate(pending: dict, key: str, grad: np.ndarray) -> None:
-    prev = pending.get(key)
-    pending[key] = grad if prev is None else prev + grad
-
-
 def block_forward(spec: BlockSpec, params, x: np.ndarray,
                   state: RunState | None = None, prefix: str = "") -> np.ndarray:
     """Run one block; output channels = ``out_channels``, spatial extents
     divided by ``spatial_stride``."""
     if state is None:
         state = RunState()
+    check_tensor5(x)
     if x.shape[1] != spec.in_channels:
         raise ShapeError(f"block {prefix or spec.variant}: input has "
                          f"{x.shape[1]} channels, expected {spec.in_channels}")
     outs = {INPUT: x}
-    for name, conv, act, source in block_plan(spec, prefix):
-        if isinstance(source, tuple):
-            inp = concat_channels([outs[s] for s in source])
+    for name, conv, act, sources, _ in block_graph(spec, prefix, x.shape):
+        if conv is None:
+            pre = outs[sources[0]] + outs[sources[1]]
+            if state.cache is not None:
+                state.cache[name] = pre
+            outs[name] = relu_forward(pre)
         else:
-            inp = outs[source]
-        outs[name] = unit_forward(name, conv, act, params, inp, state)
-    pre = outs[f"{prefix}fuse"] + outs[_shortcut_source(spec, prefix)]
-    if state.cache is not None:
-        state.cache[f"{prefix}sum"] = pre
-    return relu_forward(pre)
+            inp = (outs[sources[0]] if len(sources) == 1
+                   else concat_channels([outs[s] for s in sources]))
+            outs[name] = unit_forward(name, conv, act, params, inp, state)
+    return outs[name]
+
+
+def _walk_back(graph, params, cache, start: str, grad: np.ndarray):
+    """Backward from step ``start`` seeded with ``grad``, skipping the steps
+    it does not reach and summing the gradients that reach each source;
+    returns ``(grad_x, grads)``."""
+    widths = {step[0]: step[1].out_channels for step in graph[:-1]}
+    grads: dict[str, np.ndarray] = {}
+    pending = {start: grad}
+    for name, conv, act, sources, _ in reversed(graph):
+        g = pending.pop(name, None)
+        if g is None:
+            continue
+        if conv is None:
+            parts = [relu_backward(cache[name], g)] * len(sources)
+        else:
+            g = unit_backward(name, conv, act, params, cache, g, grads)
+            parts = [g] if len(sources) == 1 else split_channels(
+                g, [widths[s] for s in sources])
+        for source, part in zip(sources, parts):
+            prev = pending.get(source)
+            pending[source] = part if prev is None else prev + part
+    return pending[INPUT], grads
 
 
 def block_backward(spec: BlockSpec, params, cache, grad_y: np.ndarray,
                    prefix: str = ""):
-    """Gradients through one block; returns ``(grad_x, grads)``.
-
-    Walks the plan in reverse and sums the gradients reaching each source.
-    """
-    grads: dict[str, np.ndarray] = {}
-    g_sum = relu_backward(cache[f"{prefix}sum"], grad_y)
-    pending = {f"{prefix}fuse": g_sum, _shortcut_source(spec, prefix): g_sum}
-    plan = block_plan(spec, prefix)
-    widths = {name: conv.out_channels for name, conv, _, _ in plan}
-    for name, conv, act, source in reversed(plan):
-        g = unit_backward(name, conv, act, params, cache, pending.pop(name),
-                          grads)
-        if isinstance(source, tuple):
-            parts = split_channels(g, [widths[key] for key in source])
-            for key, part in zip(source, parts):
-                _accumulate(pending, key, part)
-        else:
-            _accumulate(pending, source, g)
-    return pending[INPUT], grads
+    """Gradients through one block; returns ``(grad_x, grads)``."""
+    return _walk_back(block_graph(spec, prefix), params, cache,
+                      f"{prefix}sum", grad_y)
 
 
 def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
     """Gradient of one branch-output element (summed over channels) w.r.t. x.
 
-    Runs the plan units that lead from the block input to ``branch{tap}`` in
-    eval mode and seeds the backward with a one-hot at the output center.  The
-    nonzero support of the result is the branch's receptive field.
+    Runs the block in eval mode and walks back from ``branch{tap}`` seeded
+    with a one-hot at its output center.  The nonzero support of the result
+    is the branch's receptive field.
     """
-    chain = _branch_path(spec, tap)
+    _tap_convs(spec, tap)  # rejects a tap out of range
     state = RunState(mode="eval", cache={})
-    cur = x
-    for name, conv, act, _ in chain:
-        cur = unit_forward(name, conv, act, params, cur, state)
-    grad = np.zeros_like(cur)
-    grad[:, :, cur.shape[2] // 2, cur.shape[3] // 2, cur.shape[4] // 2] = 1.0
-    grads: dict[str, np.ndarray] = {}
-    for name, conv, act, _ in reversed(chain):
-        grad = unit_backward(name, conv, act, params, state.cache, grad, grads)
-    return grad
+    block_forward(spec, params, x, state)
+    name = f"branch{tap}"
+    pre = state.cache[name][2]  # the branch output before its rectifier
+    grad = np.zeros_like(pre)
+    grad[:, :, pre.shape[2] // 2, pre.shape[3] // 2, pre.shape[4] // 2] = 1.0
+    return _walk_back(block_graph(spec), params, state.cache, name, grad)[0]
 
 
-def _branch_path(spec: BlockSpec, tap: int) -> list[tuple]:
-    """The plan units from the block input to ``branch{tap}``, in order."""
+def _tap_convs(spec: BlockSpec, tap: int) -> tuple[ConvLayerSpec, ...]:
+    """The convs from the block input to the output of branch ``tap``."""
     if not 1 <= tap <= spec.branch_count:
         raise BlockConfigError(f"tap {tap} out of range 1..{spec.branch_count}")
-    units = {unit[0]: unit for unit in block_plan(spec)}
-    path = []
-    name = f"branch{tap}"
-    while name != INPUT:
-        path.insert(0, units[name])
-        name = units[name][3]
-    return path
+    return (spec.reduce, *spec.main_stage[:tap], spec.branches[tap - 1][1])
 
 
 def temporal_receptive_field(spec: BlockSpec, tap: int) -> int:
     """Frames of input influencing one output element of branch ``tap``."""
-    return 1 + sum(conv.kernel[0] - 1
-                   for _, conv, _, _ in _branch_path(spec, tap))
+    return 1 + sum(conv.kernel[0] - 1 for conv in _tap_convs(spec, tap))
 
 
 def spatial_receptive_field(spec: BlockSpec, tap: int) -> int:
     """Pixels (per spatial axis) influencing one output element of branch ``tap``."""
-    return 1 + sum(conv.kernel[1] - 1
-                   for _, conv, _, _ in _branch_path(spec, tap))
+    return 1 + sum(conv.kernel[1] - 1 for conv in _tap_convs(spec, tap))
 
 
 def describe_block(spec: BlockSpec, prefix: str = "") -> list[str]:
     """Human-readable per-layer listing: ids, kernel/stride/padding, channels."""
     lines = []
-    for name, conv, act, _ in block_plan(spec, prefix):
+    for name, conv, act, _, _ in block_graph(spec, prefix)[:-1]:
         kt, kh, kw = conv.kernel
         tail = "+bn+relu" if act else "+bn"
         lines.append(f"{name:<24} {kt}x{kh}x{kw} s{conv.stride} p{conv.padding} "

@@ -40,8 +40,10 @@ class UsageError(Exception):
     """Bad flag/config combination; message goes to stderr, exit code 2."""
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _count(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError("must be at least 1")
+    return int(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -88,7 +90,7 @@ MODEL_OPTS = (
     Opt("--frames", int, 16, "clip length in frames"),
     Opt("--size", int, 112, "input height/width in pixels"),
     Opt("--branches", int, 4, "branch count per block (2-4)"),
-    Opt("--width", _fraction, Fraction(1), "channel width multiplier, e.g. 1/8"),
+    Opt("--width", Fraction, Fraction(1), "channel width multiplier, e.g. 1/8"),
 )
 
 SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
@@ -101,7 +103,7 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("--frames", _int_list, [16], "comma list of clip lengths"),
         Opt("--branches", _int_list, [4], "comma list of branch counts"),
         Opt("--size", int, 112, "input height/width in pixels"),
-        Opt("--width", _fraction, Fraction(1), "channel width multiplier"),
+        Opt("--width", Fraction, Fraction(1), "channel width multiplier"),
         Opt("--convention", str, "mac1", "FLOP convention: mac1 or mac2"),
         FORMAT_OPT,
     ),
@@ -125,9 +127,9 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("--schedule", str, "depression",
             "learning-rate schedule: pretrain, depression, pain"),
         Opt("--optimizer", str, "adam", "optimizer: sgd or adam"),
-        Opt("--epochs", int, None, "epoch count (default: schedule's)"),
-        Opt("--batch-size", int, 8, "minibatch size"),
-        Opt("--steps", int, None, "stop after this many optimizer steps"),
+        Opt("--epochs", _count, None, "epoch count (default: schedule's)"),
+        Opt("--batch-size", _count, 8, "minibatch size"),
+        Opt("--steps", _count, None, "stop after this many optimizer steps"),
         Opt("--loss", str, "mse", "training loss: mse or mae"),
         Opt("--history", str, None, "write per-step loss records here"),
         SEED_OPT,
@@ -138,7 +140,7 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
         Opt("--aggregate", str, None, "video aggregation: median"),
         Opt("--per-subject", _bool, False,
             "also report each subject's clips on their own", is_flag=True),
-        Opt("--batch-size", int, 8, "scoring batch size"),
+        Opt("--batch-size", _count, 8, "scoring batch size"),
         FORMAT_OPT,
     ),
 }
@@ -345,9 +347,9 @@ def cmd_train(values: dict) -> int:
     save_checkpoint(spec, params, values["out"])
     if values["history"]:
         save_history(history, values["history"])
-    final = history.steps[-1][3] if history.steps else float("nan")
     sys.stdout.write(f"trained {len(history.steps)} steps; final loss "
-                     f"{final:.6g}; checkpoint {values['out']}\n")
+                     f"{history.steps[-1][3]:.6g}; "
+                     f"checkpoint {values['out']}\n")
     return 0
 
 

@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .blocks import BlockSpec, block_plan, block_shapes
+from .blocks import BlockSpec, block_graph
 from .model import ModelSpec, model_plan
 from .ops import ConvLayerSpec
 
@@ -70,7 +70,7 @@ def count_params(spec) -> CostReport:
     if isinstance(spec, BlockSpec):
         report = CostReport(label=f"block-{spec.variant}")
         report.rows = [_unit_row(name, conv)
-                       for name, conv, _, _ in block_plan(spec)]
+                       for name, conv, _, _, _ in block_graph(spec)[:-1]]
     elif isinstance(spec, ModelSpec):
         report = CostReport(label=spec.config.model_kind)
         # the count_flops rows that hold parameters, without their geometry
@@ -103,11 +103,11 @@ def count_flops(spec: ModelSpec, input_geometry=None,
         elif kind == "maxpool":
             rows.append(CostRow(name, kind, out_shape[1:]))
         elif kind == "block":
-            shapes = block_shapes(layer, in_shape, name)
-            rows += [_unit_row(unit, conv, shapes[unit])
-                     for unit, conv, _, _ in block_plan(layer, name)]
-            # residual add + final relu
-            rows.append(CostRow(f"{name}join", "add+relu", out_shape[1:]))
+            # conv units, then the residual add + final relu
+            rows += [_unit_row(unit, conv, unit_out) if conv is not None else
+                     CostRow(f"{name}join", "add+relu", unit_out[1:])
+                     for unit, conv, _, _, unit_out
+                     in block_graph(layer, name, in_shape)]
         else:
             n, c, t, _, _ = in_shape
             rows.append(CostRow("head.avgpool", "avgpool", (c, t, 1, 1)))

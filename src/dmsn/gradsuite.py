@@ -155,7 +155,6 @@ def check_block(variant: str, seed=0, **kw) -> GradCheckReport:
         return float(np.sum(block_forward(block, inner, p["input"], st) * r))
 
     gx, grads = block_backward(block, params, state.cache, r)
-    grads = dict(grads)
     grads["input"] = gx
     probe = dict(params)
     probe["input"] = x

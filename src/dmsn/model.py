@@ -9,6 +9,7 @@ widths can be scaled by a rational ``width_multiplier`` for desk-scale runs.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import tensorfile
 from .blocks import (BlockConfigError, BlockSpec, RunState, block_backward,
-                     block_forward, block_param_shapes, block_shapes,
+                     block_forward, block_graph, block_param_shapes,
                      build_block, unit_backward, unit_forward,
                      unit_param_shapes)
 from .ops import (POOL_GEOMETRY, ConvLayerSpec, ShapeError, avgpool_spatial,
@@ -115,7 +116,7 @@ def expected_clip_shape(spec: ModelSpec, batch: int | None = None):
     return (batch, 3, spec.config.clip_len, h, w)
 
 
-def model_plan(spec: ModelSpec, input_shape=None) -> list[tuple]:
+def model_plan(spec: ModelSpec, input_shape=None) -> tuple:
     """The model's steps in execution order as ``(name, kind, layer, in_shape,
     out_shape)``: ``conv1`` (kind ``conv``, layer its ConvLayerSpec), ``pool``
     (``maxpool``, layer ``ops.POOL_GEOMETRY``), each block under its
@@ -123,13 +124,19 @@ def model_plan(spec: ModelSpec, input_shape=None) -> list[tuple]:
     None), which gives one score per clip.
 
     ``input_shape`` defaults to one clip of the configured geometry; any other
-    than ``(n, 3, clip_len, h, w)`` raises ShapeError.
+    than ``(n, 3, clip_len, h, w)`` raises ShapeError.  The plan is built once
+    per spec and input shape.
     """
     want = expected_clip_shape(spec, 1)
     shape = want if input_shape is None else tuple(input_shape)
     if len(shape) != 5 or shape[1:] != want[1:]:
         raise ShapeError(f"clip shape {shape} does not match expected "
                          f"(n, 3, {want[2]}, {want[3]}, {want[4]})")
+    return _model_plan(spec, shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _model_plan(spec: ModelSpec, shape: tuple) -> tuple:
     out = conv_output_shape(shape, spec.conv1)
     plan = [("conv1", "conv", spec.conv1, shape, out)]
     shape, out = out, window_output_shape(out, *POOL_GEOMETRY)
@@ -137,10 +144,10 @@ def model_plan(spec: ModelSpec, input_shape=None) -> list[tuple]:
     for stage_name, blocks in spec.stages:
         for i, block in enumerate(blocks, start=1):
             prefix, shape = f"{stage_name}.{i}.", out
-            out = block_shapes(block, shape, prefix)[f"{prefix}fuse"]
+            out = block_graph(block, prefix, shape)[-1][4]
             plan.append((prefix, "block", block, shape, out))
     plan.append(("head", "head", None, out, out[:1]))
-    return plan
+    return tuple(plan)
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple]:

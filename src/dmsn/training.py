@@ -155,10 +155,14 @@ class TrainConfig:
     seed: int = 0
     max_steps: int | None = None
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "max_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
     def resolved_epochs(self) -> int:
-        if self.epochs is not None:
-            return self.epochs
-        return SCHEDULES[self.schedule].default_epochs
+        return self.epochs or SCHEDULES[self.schedule].default_epochs
 
 
 @dataclass
@@ -222,7 +226,6 @@ def train(model_config: ModelConfig, dataset, config: TrainConfig,
     shuffle_rng = np.random.default_rng(config.seed)
     history = TrainHistory(seed=config.seed, config=config)
     step = 0
-    done = False
     for epoch in range(config.resolved_epochs()):
         state.lr = lr_at(schedule, epoch)
         for batch in _batches(len(clips), config.batch_size, shuffle_rng):
@@ -235,16 +238,15 @@ def train(model_config: ModelConfig, dataset, config: TrainConfig,
             history.steps.append((step, epoch, state.lr, loss))
             step += 1
             if config.max_steps is not None and step >= config.max_steps:
-                done = True
-                break
-        if done:
-            break
+                return params, history
     return params, history
 
 
 def predict_scores(spec: ModelSpec, params: dict, clips,
                    batch_size: int = 8) -> np.ndarray:
     """Eval-mode scores for a list of clip arrays."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     scores = []
     for start in range(0, len(clips), batch_size):
         x = np.stack(clips[start:start + batch_size])

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from dmsn.blocks import RunState, unit_backward, unit_forward
 from dmsn.ops import (POOL_GEOMETRY, ConvLayerSpec, conv_output_shape,
                       window_output_shape)
 
@@ -82,3 +83,27 @@ def naive_maxpool3d(x, grad_out):
         gxp[best_at] += grad_out[b, ch, ti, hi, wi]
     return y, argmax, gxp[:, :, pt:pt + x.shape[2], ph:ph + x.shape[3],
                           pw:pw + x.shape[4]]
+
+
+def branch_chain_gradient(spec, params, x, tap):
+    """Oracle for ``blocks.branch_input_gradient``: the gradient of branch
+    ``tap``'s output element at the center (summed over channels) w.r.t. x.
+
+    Runs only the units on the chain ``reduce -> main1..main{tap} ->
+    branch{tap}``, one by one in eval mode, seeds a one-hot at the output
+    center and backpropagates unit by unit in reverse; no block graph.
+    """
+    branch_tap, branch = spec.branches[tap - 1]
+    chain = [("reduce", spec.reduce)]
+    chain += [(f"main{i}", conv) for i, conv
+              in enumerate(spec.main_stage[:branch_tap], start=1)]
+    chain.append((f"branch{tap}", branch))
+    state = RunState(mode="eval", cache={})
+    out = x
+    for name, conv in chain:
+        out = unit_forward(name, conv, True, params, out, state)
+    grad = np.zeros_like(out)
+    grad[:, :, out.shape[2] // 2, out.shape[3] // 2, out.shape[4] // 2] = 1.0
+    for name, conv in reversed(chain):
+        grad = unit_backward(name, conv, True, params, state.cache, grad, {})
+    return grad

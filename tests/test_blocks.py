@@ -11,6 +11,8 @@ from dmsn.blocks import (BlockConfigError, ParamLookupError, RunState,
                          temporal_receptive_field)
 from dmsn.model import init_bundle
 
+from helpers import branch_chain_gradient
+
 
 def block_params(block, seed=0, positive=False):
     params = init_bundle(block_param_shapes(block), seed)
@@ -174,6 +176,11 @@ class TestForward:
             block_forward(block, block_params(block),
                           np.zeros((1, 4, 4, 6, 6)))
 
+    def test_non_5d_input_rejected_before_the_graph_is_built(self):
+        block = build_block("A", 8, 16, 1)
+        with pytest.raises(ops.ShapeError, match="5-d"):
+            block_forward(block, block_params(block), np.zeros((1, 8, 6, 6)))
+
     def test_missing_param_names_layer(self):
         block = build_block("A", 8, 16, 1)
         params = block_params(block)
@@ -254,6 +261,19 @@ class TestReceptiveFields:
         frames = np.where(np.abs(grad).max(axis=(0, 1, 3, 4)) > 0)[0]
         assert len(rows) == 2 * tap + 1 and len(cols) == 2 * tap + 1
         assert len(frames) == 3
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "C"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_branch_input_gradient_matches_chain_oracle_bytewise(variant, dtype):
+    block = build_block(variant, 8, 16, 1)
+    params = block_params(block, seed=15)
+    x = np.random.default_rng(16).normal(size=(2, 8, 5, 7, 7)).astype(dtype)
+    for tap in range(1, block.branch_count + 1):
+        got = branch_input_gradient(block, params, x, tap)
+        want = branch_chain_gradient(block, params, x, tap)
+        assert got.dtype == want.dtype == dtype, tap
+        assert got.tobytes() == want.tobytes(), tap
 
 
 def test_describe_block_lists_every_unit():

@@ -299,6 +299,32 @@ class TestSynthTrainEval:
         assert code == 2 and f"unknown {flag[2:]} {value!r}; valid: {valid}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "-1"), ("--batch-size", "0"), ("--epochs", "-1"),
+        ("--epochs", "0"), ("--steps", "0"), ("--steps", "-3")])
+    def test_train_rejects_non_positive_count(self, workspace, tmp_path,
+                                              capsys, flag, value):
+        out = tmp_path / "x.ckpt"
+        code, stdout, err = run(capsys, "train", "--data",
+                                str(workspace / "data/manifest.tsv"),
+                                flag, value, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"usage error: {flag}: cannot use '{value}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_eval_rejects_non_positive_batch_size(self, workspace, tmp_path,
+                                                  capsys, value):
+        out = tmp_path / "metrics.txt"
+        code, stdout, err = run(capsys, "eval", "--data",
+                                str(workspace / "data/manifest.tsv"),
+                                "--checkpoint", str(workspace / "model.ckpt"),
+                                "--batch-size", value, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"usage error: --batch-size: cannot use "
+                              f"'{value}'")
+        assert not out.exists()
+
     def test_eval_rejects_unknown_format(self, workspace, capsys):
         code, out, err = run(capsys, "eval", "--data",
                              str(workspace / "data/manifest.tsv"),

@@ -79,6 +79,12 @@ class TestCountFlops:
         four = count_flops(spec, input_geometry=(4, 3, 16, 112, 112))
         assert four.total_macs == 4 * one.total_macs
 
+    def test_list_geometry_counts_like_the_tuple(self):
+        spec = build_model(ModelConfig(clip_len=8, input_size=(32, 32),
+                                       width_multiplier=Fraction(1, 8)))
+        assert count_flops(spec, [2, 3, 8, 32, 32]).rows == \
+            count_flops(spec, (2, 3, 8, 32, 32)).rows
+
     @pytest.mark.parametrize("geometry", [(1, 4, 16, 112, 112), (1, 3)])
     def test_geometry_checked_like_a_clip(self, geometry):
         with pytest.raises(ShapeError, match=r"\(n, 3, 16, 112, 112\)"):

@@ -13,7 +13,7 @@ from dmsn.model import (CheckpointError, ConfigError, ModelConfig,
                         backward_from_cache, build_model, config_from_text,
                         config_to_text, expected_clip_shape, forward_with_state,
                         init_params, load_checkpoint, model_backward,
-                        model_forward, param_shapes, reset_head,
+                        model_forward, model_plan, param_shapes, reset_head,
                         save_checkpoint, stage_extents)
 from dmsn.ops import ShapeError
 from dmsn.tensorfile import tensor_to_stream
@@ -162,6 +162,12 @@ class TestForwardBackward:
         spec, params, _ = micro_setup()
         with pytest.raises(ShapeError, match=r"\(n, 3, 8, 32, 32\)"):
             model_forward(spec, params, np.zeros((1, 3, 16, 32, 32)))
+
+    def test_plan_built_once_per_spec_and_shape(self):
+        spec = build_model(MICRO)
+        shape = (2, 3, 8, 32, 32)
+        assert model_plan(spec, shape) is model_plan(spec, shape)
+        assert model_plan(spec, list(shape)) is model_plan(spec, shape)
 
     def test_zero_grad_scores_give_zero_gradients(self):
         spec, params, clip = micro_setup(seed=4)

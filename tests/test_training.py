@@ -10,7 +10,8 @@ from dmsn.pipeline import SynthConfig, synth_generate
 from dmsn.training import (SCHEDULES, OptimizerState, TrainConfig,
                            TrainingDiverged, adam_step, history_lines,
                            init_optimizer, lr_at, mae_loss, mse_loss,
-                           save_history, sgd_step, train, train_step)
+                           predict_scores, save_history, sgd_step, train,
+                           train_step)
 
 MICRO = ModelConfig(clip_len=8, input_size=(16, 16),
                     width_multiplier=Fraction(1, 8))
@@ -234,3 +235,18 @@ class TestTrainLoop:
         ds.clips = []
         with pytest.raises(ValueError, match="empty"):
             train(MICRO, ds, TrainConfig())
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", -1), ("batch_size", 0), ("epochs", -1), ("epochs", 0),
+        ("max_steps", 0), ("max_steps", -3)])
+    def test_non_positive_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_predict_scores_rejects_non_positive_batch_size(self, batch_size):
+        spec = build_model(MICRO)
+        clips = tiny_dataset(count=2, seed=9).clip_arrays()
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            predict_scores(spec, init_params(spec), clips,
+                           batch_size=batch_size)
