@@ -47,11 +47,14 @@ def _count(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return [int(part) for part in _str_list(text)]
 
 
 def _str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ValueError("needs at least one value")
+    return parts
 
 
 def _bool(text) -> bool:
@@ -113,10 +116,10 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
         SEED_OPT,
     ),
     "synth": (
-        Opt("--clips", int, 64, "number of clips to generate"),
-        Opt("--frames", int, 16, "clip length in frames"),
-        Opt("--size", int, 32, "frame height/width in pixels"),
-        Opt("--subjects", int, 4, "number of synthetic subjects"),
+        Opt("--clips", _count, 64, "number of clips to generate"),
+        Opt("--frames", _count, 16, "clip length in frames"),
+        Opt("--size", _count, 32, "frame height/width in pixels"),
+        Opt("--subjects", _count, 4, "number of synthetic subjects"),
         Opt("--label-min", float, 0.0, "lower label bound"),
         Opt("--label-max", float, 4.0, "upper label bound"),
         Opt("--speed", float, 1.0, "bump displacement per frame per label unit"),

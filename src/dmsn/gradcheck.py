@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,10 +11,9 @@ REL_FLOOR = 1e-12
 
 @dataclass
 class GradCheckReport:
-    """Worst-case errors per parameter plus an overall verdict."""
+    """Worst-case errors over all probes plus an overall verdict."""
 
     threshold: float
-    per_param: dict[str, tuple[float, float]] = field(default_factory=dict)
     max_rel_error: float = 0.0
     max_abs_error: float = 0.0
     worst_param: str = ""
@@ -25,8 +24,6 @@ class GradCheckReport:
         return self.max_rel_error < self.threshold
 
     def record(self, name: str, rel: float, abs_err: float) -> None:
-        prev = self.per_param.get(name, (0.0, 0.0))
-        self.per_param[name] = (max(prev[0], rel), max(prev[1], abs_err))
         if rel > self.max_rel_error:
             self.max_rel_error = rel
             self.worst_param = name

@@ -8,6 +8,7 @@ float64 and micro-sized so the full set finishes in well under a minute.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -22,46 +23,65 @@ from .ops import (ConvLayerSpec, avgpool_spatial, avgpool_spatial_backward,
                   maxpool3d_backward, relu_backward, relu_forward)
 
 
-def _proj(rng, shape):
-    return rng.normal(size=shape)
+def _projected(seed, draw, forward, backward, /, **kw) -> GradCheckReport:
+    """Check ``backward(p, r)`` against central differences of
+    ``sum(forward(p) * r)``.
 
-
-def _linear_case(seed):
-    """``(loss, params, analytic_grads)`` for one projected linear layer."""
+    ``draw(rng)`` gives the float64 parameters ``p`` from a generator seeded
+    ``seed``, which then draws ``r`` with the shape of ``forward(p)``.
+    ``backward`` gives the analytic gradients to probe.  The probes are
+    seeded ``seed`` too unless ``kw`` names another.
+    """
     rng = np.random.default_rng(seed)
-    params = {"x": rng.normal(size=(6, 5)), "w": rng.normal(size=(4, 5)),
-              "b": rng.normal(size=(4,))}
-    r = _proj(rng, (6, 4))
+    params = draw(rng)
+    r = rng.normal(size=forward(params).shape)
 
     def loss(p):
-        return float(np.sum(linear_forward(p["x"], p["w"], p["b"]) * r))
+        return float(np.sum(forward(p) * r))
 
-    gx, gw, gb = linear_backward(params["x"], params["w"], r)
-    return loss, params, {"x": gx, "w": gw, "b": gb}
+    kw.setdefault("seed", seed)
+    return grad_check(loss, params, analytic_grads=backward(params, r), **kw)
+
+
+def _linear_params(rng):
+    return {"x": rng.normal(size=(6, 5)), "w": rng.normal(size=(4, 5)),
+            "b": rng.normal(size=(4,))}
+
+
+def _linear_out(p):
+    return linear_forward(p["x"], p["w"], p["b"])
+
+
+def _linear_grads(p, r):
+    return dict(zip("xwb", linear_backward(p["x"], p["w"], r)))
+
+
+def _linear_grads_doubled_w(p, r):
+    """The negative control: the linear gradients with ``w``'s doubled."""
+    grads = _linear_grads(p, r)
+    grads["w"] *= 2.0
+    return grads
 
 
 def check_linear(seed=0, **kw) -> GradCheckReport:
-    loss, params, grads = _linear_case(seed)
-    return grad_check(loss, params, analytic_grads=grads, seed=seed, **kw)
+    return _projected(seed, _linear_params, _linear_out, _linear_grads, **kw)
 
 
 def _conv_case(seed, spec: ConvLayerSpec, x_shape, **kw) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    params = {"x": rng.normal(size=x_shape),
-              "w": rng.normal(size=spec.weight_shape)}
-    if spec.has_bias:
-        params["b"] = rng.normal(size=(spec.out_channels,))
-    y0 = conv3d_forward(params["x"], spec, params["w"], params.get("b"))
-    r = _proj(rng, y0.shape)
+    def draw(rng):
+        p = {"x": rng.normal(size=x_shape),
+             "w": rng.normal(size=spec.weight_shape)}
+        if spec.has_bias:
+            p["b"] = rng.normal(size=(spec.out_channels,))
+        return p
 
-    def loss(p):
-        return float(np.sum(conv3d_forward(p["x"], spec, p["w"], p.get("b")) * r))
+    def backward(p, r):
+        grads = zip("xwb", conv3d_backward(p["x"], spec, p["w"], r))
+        return {name: g for name, g in grads if name in p}
 
-    gx, gw, gb = conv3d_backward(params["x"], spec, params["w"], r)
-    grads = {"x": gx, "w": gw}
-    if spec.has_bias:
-        grads["b"] = gb
-    return grad_check(loss, params, analytic_grads=grads, seed=seed, **kw)
+    return _projected(
+        seed, draw, lambda p: conv3d_forward(p["x"], spec, p["w"], p.get("b")),
+        backward, **kw)
 
 
 def check_conv_general(seed=0, **kw) -> GradCheckReport:
@@ -80,87 +100,65 @@ def check_conv_spatial(seed=0, **kw) -> GradCheckReport:
 
 
 def check_batchnorm(seed=0, **kw) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    params = {"x": rng.normal(size=(3, 4, 3, 4, 4)),
-              "scale": rng.uniform(0.5, 1.5, size=4),
-              "shift": rng.normal(size=4)}
-    rm, rv = np.zeros(4), np.ones(4)
-    y0, _, _, cache = batchnorm_forward(params["x"], params["scale"],
-                                        params["shift"], rm, rv, "train")
-    r = _proj(rng, y0.shape)
+    def forward(p):  # (y, running mean, running var, cache)
+        return batchnorm_forward(p["x"], p["scale"], p["shift"], np.zeros(4),
+                                 np.ones(4), "train")
 
-    def loss(p):
-        y, _, _, _ = batchnorm_forward(p["x"], p["scale"], p["shift"],
-                                       rm, rv, "train")
-        return float(np.sum(y * r))
+    def backward(p, r):
+        grads = batchnorm_backward(forward(p)[3], p["scale"], r)
+        return dict(zip(("x", "scale", "shift"), grads))
 
-    gx, gscale, gshift = batchnorm_backward(cache, params["scale"], r)
-    return grad_check(loss, params, seed=seed,
-                      analytic_grads={"x": gx, "scale": gscale,
-                                      "shift": gshift}, **kw)
+    return _projected(
+        seed, lambda rng: {"x": rng.normal(size=(3, 4, 3, 4, 4)),
+                           "scale": rng.uniform(0.5, 1.5, size=4),
+                           "shift": rng.normal(size=4)},
+        lambda p: forward(p)[0], backward, **kw)
 
 
 def check_relu(seed=0, **kw) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 3, 4, 4, 4))
-    x = np.where(np.abs(x) < 0.05, 0.1, x)  # keep probes off the kink
-    r = _proj(rng, x.shape)
+    def draw(rng):
+        x = rng.normal(size=(2, 3, 4, 4, 4))
+        return {"x": np.where(np.abs(x) < 0.05, 0.1, x)}  # probes off the kink
 
-    def loss(p):
-        return float(np.sum(relu_forward(p["x"]) * r))
-
-    return grad_check(loss, {"x": x}, seed=seed,
-                      analytic_grads={"x": relu_backward(x, r)}, **kw)
+    return _projected(seed, draw, lambda p: relu_forward(p["x"]),
+                      lambda p, r: {"x": relu_backward(p["x"], r)}, **kw)
 
 
 def check_maxpool(seed=0, **kw) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 2, 5, 7, 7))
-    y0, idx = maxpool3d(x)
-    r = _proj(rng, y0.shape)
+    def backward(p, r):
+        return {"x": maxpool3d_backward(r, maxpool3d(p["x"])[1], p["x"].shape)}
 
-    def loss(p):
-        y, _ = maxpool3d(p["x"])
-        return float(np.sum(y * r))
-
-    gx = maxpool3d_backward(r, idx, x.shape)
-    return grad_check(loss, {"x": x}, analytic_grads={"x": gx}, seed=seed, **kw)
+    return _projected(seed, lambda rng: {"x": rng.normal(size=(2, 2, 5, 7, 7))},
+                      lambda p: maxpool3d(p["x"])[0], backward, **kw)
 
 
 def check_avgpool(seed=0, **kw) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 3, 4, 5, 5))
-    r = _proj(rng, (2, 3, 4, 1, 1))
-
-    def loss(p):
-        return float(np.sum(avgpool_spatial(p["x"]) * r))
-
-    gx = avgpool_spatial_backward(r, 5, 5)
-    return grad_check(loss, {"x": x}, analytic_grads={"x": gx}, seed=seed, **kw)
+    return _projected(
+        seed, lambda rng: {"x": rng.normal(size=(2, 3, 4, 5, 5))},
+        lambda p: avgpool_spatial(p["x"]),
+        lambda p, r: {"x": avgpool_spatial_backward(r, 5, 5)}, **kw)
 
 
 def check_block(variant: str, seed=0, **kw) -> GradCheckReport:
     block = build_block(variant, 8, 16, spatial_stride=1, branch_count=4)
-    shapes = block_param_shapes(block)
-    params = init_bundle(shapes, seed)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.normal(size=(2, 8, 6, 6, 6))
-    state = RunState(mode="train", cache={})
-    y0 = block_forward(block, params, x, state)
-    r = _proj(rng, y0.shape)
+    params = init_bundle(block_param_shapes(block), seed)
 
-    def loss(p):
-        st = RunState(mode="train")
-        inner = {k: v for k, v in p.items() if k != "input"}
-        return float(np.sum(block_forward(block, inner, p["input"], st) * r))
+    def draw(rng):
+        return {**params, "input": rng.normal(size=(2, 8, 6, 6, 6))}
 
-    gx, grads = block_backward(block, params, state.cache, r)
-    grads["input"] = gx
-    probe = dict(params)
-    probe["input"] = x
-    # eps below the relu-kink scale of the activations, well above roundoff
-    return grad_check(loss, probe, analytic_grads=grads, epsilon=3e-6,
-                      probe_count=4, seed=seed, **kw)
+    def forward(p):
+        return block_forward(block, p, p["input"], RunState(mode="train"))
+
+    def backward(p, r):
+        state = RunState(mode="train", cache={})
+        block_forward(block, p, p["input"], state)
+        gx, grads = block_backward(block, p, state.cache, r)
+        return {**grads, "input": gx}
+
+    # input and projection drawn from seed + 1, probes from seed; eps below
+    # the relu-kink scale of the activations, well above roundoff
+    return _projected(seed + 1, draw, forward, backward, seed=seed,
+                      epsilon=3e-6, probe_count=4, **kw)
 
 
 MICRO_CONFIG = ModelConfig(clip_len=8, input_size=(32, 32),
@@ -190,7 +188,7 @@ def check_micro_model(seed=0, **kw) -> GradCheckReport:
     params = init_params(spec, seed=seed)
     rng = np.random.default_rng(seed + 1)
     clip = rng.normal(size=(2, 3, 8, 32, 32))
-    r = _proj(rng, (2,))
+    r = rng.normal(size=(2,))
     state = RunState(mode="eval", cache={})
     forward_with_state(spec, params, clip, state)
     full = backward_from_cache(spec, params, state.cache, r)
@@ -210,37 +208,21 @@ def run_gradient_suites(seed: int = 0, inject_bug: bool = False,
                         threshold: float = 1e-4):
     """All suites in order; returns ``[(name, GradCheckReport), ...]``.
 
-    ``inject_bug`` doubles one analytic gradient before checking, as a negative
-    control that the comparison actually bites.
+    ``inject_bug`` doubles the linear layer's weight gradient before checking,
+    as a negative control that the comparison actually bites.
     """
-    items = [
-        ("layer linear", lambda: check_linear(seed, threshold=threshold)),
-        ("layer conv3d", lambda: check_conv_general(seed, threshold=threshold)),
-        ("layer conv-temporal",
-         lambda: check_conv_temporal(seed, threshold=threshold)),
-        ("layer conv-spatial",
-         lambda: check_conv_spatial(seed, threshold=threshold)),
-        ("layer batchnorm", lambda: check_batchnorm(seed, threshold=threshold)),
-        ("layer relu", lambda: check_relu(seed, threshold=threshold)),
-        ("layer maxpool", lambda: check_maxpool(seed, threshold=threshold)),
-        ("layer avgpool", lambda: check_avgpool(seed, threshold=threshold)),
-        ("block variant A", lambda: check_block("A", seed, threshold=threshold)),
-        ("block variant B", lambda: check_block("B", seed, threshold=threshold)),
-        ("block variant C", lambda: check_block("C", seed, threshold=threshold)),
-        ("micro model", lambda: check_micro_model(seed, threshold=threshold)),
+    linear = _linear_grads_doubled_w if inject_bug else _linear_grads
+    suites = [
+        ("layer linear", lambda seed, **kw: _projected(
+            seed, _linear_params, _linear_out, linear, **kw)),
+        ("layer conv3d", check_conv_general),
+        ("layer conv-temporal", check_conv_temporal),
+        ("layer conv-spatial", check_conv_spatial),
+        ("layer batchnorm", check_batchnorm),
+        ("layer relu", check_relu),
+        ("layer maxpool", check_maxpool),
+        ("layer avgpool", check_avgpool),
+        *((f"block variant {v}", partial(check_block, v)) for v in "ABC"),
+        ("micro model", check_micro_model),
     ]
-    results = []
-    for name, run in items:
-        report = run()
-        if inject_bug and name == "layer linear":
-            report = _with_injected_bug(seed, threshold)
-        results.append((name, report))
-    return results
-
-
-def _with_injected_bug(seed: int, threshold: float) -> GradCheckReport:
-    """:func:`check_linear` with the weight gradient doubled."""
-    loss, params, grads = _linear_case(seed)
-    grads["w"] = 2.0 * grads["w"]
-    return grad_check(loss, params, analytic_grads=grads, seed=seed,
-                      threshold=threshold)
+    return [(name, check(seed, threshold=threshold)) for name, check in suites]

@@ -8,8 +8,9 @@ manifest format.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -195,13 +196,17 @@ def loso_splits(dataset: ClipDataset) -> FoldPlan:
 
 # -- synthetic clip generator -------------------------------------------------
 
+BUMP_SIGMA = 2.5  # the bump's Gaussian width in pixels
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Moving-bump surrogate videos whose motion speed encodes the label.
 
-    Each video renders a Gaussian bump traveling on a circle; the per-frame
-    displacement is ``step_per_unit * label`` pixels, so a zero label means a
-    static bump and motion statistics grow affinely with the label.
+    Each video is one clip of a Gaussian bump traveling on a circle; the
+    per-frame displacement is ``step_per_unit * label`` pixels, so a zero
+    label means a static bump and motion statistics grow affinely with the
+    label.
     """
 
     clip_count: int = 64
@@ -209,25 +214,29 @@ class SynthConfig:
     height: int = 32
     width: int = 32
     subjects: int = 4
-    clips_per_video: int = 1
     label_min: float = 0.0
     label_max: float = 4.0
     step_per_unit: float = 1.0
-    bump_sigma: float = 2.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.clip_count < 1 or self.clip_len < 1:
-            raise ValueError("clip_count and clip_len must be >= 1")
-        if self.subjects < 1 or self.clips_per_video < 1:
-            raise ValueError("subjects and clips_per_video must be >= 1")
+        for name in ("clip_count", "clip_len", "height", "width", "subjects"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
+        for name in ("label_min", "label_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.label_max < self.label_min:
             raise ValueError("label_max must be >= label_min")
+        if not math.isfinite(self.label_max - self.label_min):
+            raise ValueError(f"label_max - label_min must be finite, got "
+                             f"{self.label_max} - {self.label_min}")
 
 
 def _synth_video(cfg: SynthConfig, rng: np.random.Generator, subject: str,
                  video: str) -> VideoRecord:
-    frames = cfg.clip_len * cfg.clips_per_video
     label = float(rng.uniform(cfg.label_min, cfg.label_max))
     radius = max(4.0, min(cfg.height, cfg.width) / 5.0)
     step = cfg.step_per_unit * label
@@ -239,13 +248,14 @@ def _synth_video(cfg: SynthConfig, rng: np.random.Generator, subject: str,
     amplitude = rng.uniform(0.5, 1.0, size=3)
     ys = np.arange(cfg.height, dtype=np.float64)[:, None]
     xs = np.arange(cfg.width, dtype=np.float64)[None, :]
-    data = np.empty((3, frames, cfg.height, cfg.width), dtype=np.float32)
-    for t in range(frames):
+    data = np.empty((3, cfg.clip_len, cfg.height, cfg.width),
+                    dtype=np.float32)
+    for t in range(cfg.clip_len):
         theta = theta0 + t * dtheta
         py = cy + radius * np.sin(theta)
         px = cx + radius * np.cos(theta)
         bump = np.exp(-((ys - py) ** 2 + (xs - px) ** 2)
-                      / (2.0 * cfg.bump_sigma ** 2))
+                      / (2.0 * BUMP_SIGMA ** 2))
         for ch in range(3):
             data[ch, t] = amplitude[ch] * bump
     return VideoRecord(subject, video, data, "video", video_label=label)
@@ -254,14 +264,9 @@ def _synth_video(cfg: SynthConfig, rng: np.random.Generator, subject: str,
 def synth_generate(cfg: SynthConfig) -> ClipDataset:
     """Deterministic synthetic dataset; same seed gives bitwise-identical clips."""
     rng = np.random.default_rng(cfg.seed)
-    video_count = -(-cfg.clip_count // cfg.clips_per_video)  # ceil
-    videos = []
-    for v in range(video_count):
-        subject = f"s{v % cfg.subjects + 1:03d}"
-        videos.append(_synth_video(cfg, rng, subject, f"v{v + 1:04d}"))
-    ds = dataset_from_videos(videos, cfg.clip_len)
-    ds.clips = ds.clips[:cfg.clip_count]
-    return ds
+    videos = [_synth_video(cfg, rng, f"s{v % cfg.subjects + 1:03d}",
+                           f"v{v + 1:04d}") for v in range(cfg.clip_count)]
+    return dataset_from_videos(videos, cfg.clip_len)
 
 
 def mean_frame_displacement(clip: np.ndarray) -> float:
@@ -281,30 +286,32 @@ def mean_frame_displacement(clip: np.ndarray) -> float:
 
 def format_synth_config(cfg: SynthConfig) -> str:
     """key=value text form of a generator configuration."""
-    pairs = [(name, getattr(cfg, name)) for name in (
-        "clip_count", "clip_len", "height", "width", "subjects",
-        "clips_per_video", "label_min", "label_max", "step_per_unit",
-        "bump_sigma", "seed")]
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
 def parse_synth_config(text: str) -> SynthConfig:
+    """Read :func:`format_synth_config` text; a bad line is a ``ValueError``
+    that names it."""
+    # the annotations are strings under ``from __future__ import annotations``
+    kinds = {f.name: {"int": int, "float": float}[f.type]
+             for f in fields(SynthConfig)}
     kwargs = {}
-    ints = {"clip_count", "clip_len", "height", "width", "subjects",
-            "clips_per_video", "seed"}
-    floats = {"label_min", "label_max", "step_per_unit", "bump_sigma"}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"synth config line {lineno} is not key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ints:
-            kwargs[key] = int(value)
-        elif key in floats:
-            kwargs[key] = float(value)
-        else:
+        if key not in kinds:
             raise ValueError(f"synth config line {lineno}: unknown key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"synth config line {lineno}: key {key!r} "
+                             f"given twice")
+        try:
+            kwargs[key] = kinds[key](value)
+        except ValueError:
+            raise ValueError(f"synth config line {lineno}: {key} has a bad "
+                             f"value {value!r}") from None
     return SynthConfig(**kwargs)
 
 

@@ -32,13 +32,17 @@ def tensor_to_stream(stream: io.BufferedIOBase, arr: np.ndarray) -> None:
     """Write one tensor's header, then its payload from the array's buffer.
 
     The payload is copied only when ``arr`` is not already C-contiguous
-    little-endian float32/float64.
+    little-endian float32/float64.  What the reader rejects (a zero extent,
+    not 5-d, another dtype) is a ``TensorFileError`` before anything is
+    written.
     """
     if arr.ndim != 5:
         raise TensorFileError(f"container holds 5-d tensors, got shape {arr.shape}")
     dtype = np.dtype(arr.dtype)
     if dtype not in _CODE_BY_KIND:
         raise TensorFileError(f"unsupported dtype {dtype}; use float32 or float64")
+    if 0 in arr.shape:
+        raise TensorFileError(f"zero extent in shape {arr.shape}")
     code = _CODE_BY_KIND[dtype]
     payload = np.ascontiguousarray(arr, dtype=_DTYPE_BY_CODE[code])
     stream.write(_HEADER.pack(MAGIC, VERSION, code, *arr.shape))

@@ -111,6 +111,15 @@ class TestCount:
         assert code == 2 and out == ""
         assert "unknown format 'xml'; valid: text, csv" in err
 
+    @pytest.mark.parametrize("flag", ["--frames", "--model"])
+    def test_empty_list_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "table.txt"
+        code, stdout, err = run(capsys, "count", flag, ",", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == (f"usage error: {flag}: cannot use ',': needs at least "
+                       f"one value\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv, flag", [
     (["describe", "--width", "1/0"], "--width"),
@@ -235,6 +244,27 @@ class TestSynthTrainEval:
         for name in clips_a:
             assert (tmp_path / "a" / "clips" / name).read_bytes() == \
                 (tmp_path / "b" / "clips" / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--clips", "--frames", "--size",
+                                      "--subjects"])
+    def test_synth_rejects_zero_count(self, tmp_path, capsys, flag):
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "synth", flag, "0", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == (f"usage error: {flag}: cannot use '0': must be at "
+                       f"least 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--label-min", "nan", "label_min"),
+        ("--label-max", "inf", "label_max")])
+    def test_synth_rejects_non_finite_label_bound(self, tmp_path, capsys, flag,
+                                                  value, field):
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "synth", flag, value, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {field} must be finite, got {value}\n"
+        assert not out.exists()
 
     def test_synth_writes_generator_config(self, workspace):
         text = (workspace / "data" / "synth_config.txt").read_text()

@@ -69,3 +69,15 @@ def test_block_suites_pass(variant):
 def test_injected_bug_is_detected():
     results = gradsuite.run_gradient_suites(seed=0, inject_bug=True)
     assert not results[0][1].passed
+
+
+def test_injected_bug_fails_only_the_linear_weight():
+    clean = gradsuite.run_gradient_suites(seed=0)
+    buggy = gradsuite.run_gradient_suites(seed=0, inject_bug=True)
+    assert [name for name, _ in buggy] == [name for name, _ in clean]
+    assert len(buggy) == 12
+    failed = [name for name, report in buggy if not report.passed]
+    assert failed == ["layer linear"]
+    assert buggy[0][1].worst_param == "w"
+    assert [r.summary() for _, r in buggy[1:]] == \
+        [r.summary() for _, r in clean[1:]]

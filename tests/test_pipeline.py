@@ -223,6 +223,33 @@ class TestSynth:
         with pytest.raises(ValueError, match="unknown key"):
             parse_synth_config("wibble=3\n")
 
+    def test_config_repeated_key_rejected(self):
+        with pytest.raises(ValueError,
+                           match="line 2: key 'clip_count' given twice"):
+            parse_synth_config("clip_count=3\nclip_count=5\n")
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("clip_count=3\nclip_len=4.5\n", 2, "clip_len"),
+        ("label_max=high\n", 1, "label_max")], ids=["int", "float"])
+    def test_config_bad_number_names_line(self, text, line, key):
+        with pytest.raises(ValueError,
+                           match=f"line {line}: {key} has a bad value"):
+            parse_synth_config(text)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("height", 0, "height must be >= 1"),
+        ("width", -1, "width must be >= 1"),
+        ("label_min", float("nan"), "label_min must be finite"),
+        ("label_max", float("inf"), "label_max must be finite"),
+    ])
+    def test_config_rejects_bad_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(**{field: value})
+
+    def test_config_rejects_overflowing_label_range(self):
+        with pytest.raises(ValueError, match="label_max - label_min"):
+            SynthConfig(label_min=-1e308, label_max=1e308)
+
 
 class TestManifest:
     def test_save_load_roundtrip(self, tmp_path):

@@ -92,6 +92,15 @@ def test_zero_extent_rejected():
                                       tensorfile._HEADER.size)
 
 
+def test_zero_extent_write_rejected_before_header():
+    stream = io.BytesIO()
+    with pytest.raises(tensorfile.TensorFileError,
+                       match=r"zero extent in shape \(1, 3, 0, 4, 4\)"):
+        tensorfile.tensor_to_stream(stream,
+                                    np.zeros((1, 3, 0, 4, 4), dtype=np.float32))
+    assert stream.getvalue() == b""
+
+
 def test_non_contiguous_array_written_row_major(tmp_path):
     arr = np.arange(2 * 3 * 4 * 5 * 6, dtype=np.float64).reshape(2, 3, 4, 5, 6)
     view = arr[:, ::2, :, ::-1].transpose(0, 1, 2, 4, 3)
