@@ -17,14 +17,15 @@ and the shortcut projection, whose sum is rectified once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ops import (ConvLayerSpec, MacCounter, ShapeError, batchnorm_backward,
-                  batchnorm_forward, check_tensor5, concat_channels,
-                  conv3d_backward, conv3d_forward, conv_output_shape,
-                  relu_backward, relu_forward, split_channels)
+                  batchnorm_eval_inplace, batchnorm_forward, check_tensor5,
+                  concat_channels, conv3d_backward, conv3d_forward,
+                  conv_output_shape, relu_backward, relu_forward,
+                  split_channels)
 
 VARIANTS = ("A", "B", "C")
 TEMPORAL, SPATIAL = "t", "s"
@@ -36,6 +37,16 @@ class BlockConfigError(ValueError):
 
 class ParamLookupError(KeyError):
     """A layer id has no entry in the parameter bundle."""
+
+
+def hash_once(spec) -> int:
+    """``__hash__`` for a frozen spec: the generated field hash, computed on
+    the first call and kept, since the plan caches hash on every lookup."""
+    value = spec.__dict__.get("_hash")
+    if value is None:
+        value = hash(tuple(getattr(spec, f.name) for f in fields(spec)))
+        object.__setattr__(spec, "_hash", value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,8 @@ class BlockSpec:
     branches: tuple[tuple[int, ConvLayerSpec], ...]  # (1-based tap, conv)
     fusion: ConvLayerSpec
     shortcut: ConvLayerSpec | None  # None = identity
+
+    __hash__ = hash_once
 
     @property
     def branch_widths(self) -> tuple[int, ...]:
@@ -207,26 +220,33 @@ def _param(params, key):
 
 def unit_forward(name: str, conv: ConvLayerSpec, act: bool, params, x,
                  state: RunState):
+    """Conv, batchnorm and, when ``act``, a rectifier.  The rectifier runs in
+    place on the unit's own buffer, and so does an eval batchnorm that no
+    cache keeps the input of."""
     w = _param(params, f"{name}.w")
     b = _param(params, f"{name}.b") if conv.has_bias else None
     y = conv3d_forward(x, conv, w, b, state.counter)
-    y, new_mean, new_var, bn_cache = batchnorm_forward(
-        y, _param(params, f"{name}.scale"), _param(params, f"{name}.shift"),
-        _param(params, f"{name}.mean"), _param(params, f"{name}.var"),
-        state.mode)
-    if state.mode == "train" and state.stats is not None:
-        state.stats[f"{name}.mean"] = new_mean
-        state.stats[f"{name}.var"] = new_var
+    bn = [_param(params, f"{name}.{key}")
+          for key in ("scale", "shift", "mean", "var")]
+    if state.mode == "eval" and state.cache is None:
+        batchnorm_eval_inplace(y, *bn)
+    else:
+        y, new_mean, new_var, bn_cache = batchnorm_forward(y, *bn, state.mode)
+        if state.mode == "train" and state.stats is not None:
+            state.stats[f"{name}.mean"] = new_mean
+            state.stats[f"{name}.var"] = new_var
+    if act:
+        relu_forward(y, out=y)
     if state.cache is not None:
         state.cache[name] = (x, bn_cache, y if act else None)
-    return relu_forward(y) if act else y
+    return y
 
 
 def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
                   grad, grads_out: dict, need_input_grad: bool = True):
-    x, bn_cache, pre = cache[name]
+    x, bn_cache, out = cache[name]
     if act:
-        grad = relu_backward(pre, grad)
+        grad = relu_backward(out, grad)
     grad, gscale, gshift = batchnorm_backward(
         bn_cache, _param(params, f"{name}.scale"), grad)
     grads_out[f"{name}.scale"] = gscale
@@ -252,10 +272,10 @@ def block_forward(spec: BlockSpec, params, x: np.ndarray,
     outs = {INPUT: x}
     for name, conv, act, sources, _ in block_graph(spec, prefix, x.shape):
         if conv is None:
-            pre = outs[sources[0]] + outs[sources[1]]
+            out = outs[sources[0]] + outs[sources[1]]
+            outs[name] = relu_forward(out, out=out)
             if state.cache is not None:
-                state.cache[name] = pre
-            outs[name] = relu_forward(pre)
+                state.cache[name] = out
         else:
             inp = (outs[sources[0]] if len(sources) == 1
                    else concat_channels([outs[s] for s in sources]))
@@ -304,9 +324,9 @@ def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
     state = RunState(mode="eval", cache={})
     block_forward(spec, params, x, state)
     name = f"branch{tap}"
-    pre = state.cache[name][2]  # the branch output before its rectifier
-    grad = np.zeros_like(pre)
-    grad[:, :, pre.shape[2] // 2, pre.shape[3] // 2, pre.shape[4] // 2] = 1.0
+    out = state.cache[name][2]  # the branch output
+    grad = np.zeros_like(out)
+    grad[:, :, out.shape[2] // 2, out.shape[3] // 2, out.shape[4] // 2] = 1.0
     return _walk_back(block_graph(spec), params, state.cache, name, grad)[0]
 
 

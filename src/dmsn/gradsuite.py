@@ -120,16 +120,19 @@ def check_relu(seed=0, **kw) -> GradCheckReport:
         x = rng.normal(size=(2, 3, 4, 4, 4))
         return {"x": np.where(np.abs(x) < 0.05, 0.1, x)}  # probes off the kink
 
-    return _projected(seed, draw, lambda p: relu_forward(p["x"]),
-                      lambda p, r: {"x": relu_backward(p["x"], r)}, **kw)
+    def backward(p, r):
+        return {"x": relu_backward(relu_forward(p["x"]), r)}
+
+    return _projected(seed, draw, lambda p: relu_forward(p["x"]), backward,
+                      **kw)
 
 
 def check_maxpool(seed=0, **kw) -> GradCheckReport:
     def backward(p, r):
-        return {"x": maxpool3d_backward(r, maxpool3d(p["x"])[1], p["x"].shape)}
+        return {"x": maxpool3d_backward(r, p["x"], maxpool3d(p["x"]))}
 
     return _projected(seed, lambda rng: {"x": rng.normal(size=(2, 2, 5, 7, 7))},
-                      lambda p: maxpool3d(p["x"])[0], backward, **kw)
+                      lambda p: maxpool3d(p["x"]), backward, **kw)
 
 
 def check_avgpool(seed=0, **kw) -> GradCheckReport:

@@ -22,7 +22,7 @@ import numpy as np
 from . import tensorfile
 from .blocks import (BlockConfigError, BlockSpec, RunState, block_backward,
                      block_forward, block_graph, block_param_shapes,
-                     build_block, unit_backward, unit_forward,
+                     build_block, hash_once, unit_backward, unit_forward,
                      unit_param_shapes)
 from .ops import (POOL_GEOMETRY, ConvLayerSpec, ShapeError, avgpool_spatial,
                   avgpool_spatial_backward, conv_output_shape, linear_backward,
@@ -86,6 +86,8 @@ class ModelSpec:
     conv1: ConvLayerSpec
     stages: tuple[tuple[str, tuple[BlockSpec, ...]], ...]
     head_channels: int
+
+    __hash__ = hash_once
 
 
 def _stage_variants(kind: str, pattern: str) -> str:
@@ -203,9 +205,10 @@ def forward_with_state(spec: ModelSpec, params: dict, clip: np.ndarray,
         if kind == "conv":
             x = unit_forward(name, layer, True, params, x, state)
         elif kind == "maxpool":
-            x, argmax = maxpool3d(x)
+            y = maxpool3d(x)
             if state.cache is not None:
-                state.cache[name] = argmax
+                state.cache[name] = (x, y)
+            x = y
         elif kind == "block":
             x = block_forward(layer, params, x, state, name)
         else:
@@ -234,7 +237,7 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
     grads: dict[str, np.ndarray] = {}
     g = grad_scores
     plan = model_plan(spec, expected_clip_shape(spec, n))
-    for name, kind, layer, in_shape, _ in reversed(plan):
+    for name, kind, layer, _, _ in reversed(plan):
         if kind == "head":
             gz = np.repeat(g / t, t).reshape(n * t, 1).astype(flat.dtype)
             gflat, grads["head.fc.w"], grads["head.fc.b"] = linear_backward(
@@ -245,7 +248,7 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
             g, block_grads = block_backward(layer, params, cache, g, name)
             grads.update(block_grads)
         elif kind == "maxpool":
-            g = maxpool3d_backward(g, cache[name], in_shape)
+            g = maxpool3d_backward(g, *cache[name])
         else:
             # the stem's input gradient has no consumer
             unit_backward(name, layer, True, params, cache, g, grads,

@@ -13,9 +13,14 @@ A conv forward reduces one temporal tap per GEMM, each GEMM splits its
 reduction axis at fixed offsets (``_GEMM_DEPTH``), and the pieces are added
 in order, so a float32 forward pass gives the same bytes at 1 and 2 BLAS
 threads.  (Float64 GEMMs on OpenBLAS 0.3.31 can differ between thread counts
-at any depth.)  The max pool shares the conv's window gather
-(:func:`_windows`) and scatter (:func:`_col2im`); a window holding a NaN
-pools to NaN.  All functions are pure with respect to their array arguments.
+at any depth.)  The max pool forward is separable and keeps only values; its
+backward shares the conv's window gather (:func:`_windows`) and scatter
+(:func:`_col2im`).  A window holding a NaN pools to NaN.
+
+All functions are pure with respect to their array arguments, except two that
+write into an array their caller owns: :func:`batchnorm_eval_inplace`
+normalizes its input, and :func:`relu_forward` rectifies into ``out`` when
+given one.
 """
 
 from __future__ import annotations
@@ -308,34 +313,54 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
             gb.astype(weights.dtype, copy=False))
 
 
-def maxpool3d(x: np.ndarray):
+def maxpool3d(x: np.ndarray) -> np.ndarray:
     """Max over the :data:`POOL_GEOMETRY` windows; padding contributes -inf.
 
-    Returns ``(y, argmax)`` where ``argmax`` holds the flat kernel-offset index
-    (int16) of the winning element, consumed by the backward.  The windows are
-    the conv's gather (:func:`_windows`): ties go to the first offset, and a
-    window holding a NaN yields NaN.
+    Separable: pad with -inf once, then reduce w, h and t in turn, each by
+    ``np.maximum`` over the kernel's strided views.  Every step is
+    ``np.maximum(later, earlier)``, which keeps the earlier operand on ties,
+    so a window's value is the bytes of its first element holding the max
+    (``-0.0`` before ``0.0`` keeps ``-0.0``); a window holding a NaN pools
+    to NaN.
     """
     check_tensor5(x)
     kernel, stride, padding = POOL_GEOMETRY
-    n, c, to, ho, wo = window_output_shape(x.shape, *POOL_GEOMETRY)
+    out_shape = window_output_shape(x.shape, *POOL_GEOMETRY)
+    y = _pad5(x, padding, value=-np.inf)
+    for axis in (4, 3, 2):
+        k, s, size = kernel[axis - 2], stride[axis - 2], out_shape[axis]
+        lead = (slice(None),) * axis
+        views = [y[lead + (slice(d, d + s * (size - 1) + 1, s),)]
+                 for d in range(k)]
+        y = np.maximum(views[1], views[0])
+        for view in views[2:]:
+            np.maximum(view, y, out=y)
+    return y
+
+
+def _pool_winner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The flat kernel offset of the element each window of ``x`` pooled to
+    ``y`` from: the first element equal to ``y``, or the first NaN when ``y``
+    is NaN, as :func:`maxpool3d`'s tie rule picks it.  Shaped like ``y``."""
+    kernel, stride, padding = POOL_GEOMETRY
+    n, c, to, ho, wo = y.shape
     cols = _windows(_pad5(x, padding, value=-np.inf), kernel, stride,
                     (to, ho, wo)).reshape(n, c, -1, to * ho * wo)
-    idx = cols.argmax(axis=2)[:, :, None]
-    y = np.take_along_axis(cols, idx, axis=2)
-    return (y.reshape(n, c, to, ho, wo),
-            idx.astype(np.int16).reshape(n, c, to, ho, wo))
+    won = cols == y.reshape(n, c, 1, -1)
+    won |= cols != cols
+    return won.argmax(axis=2).reshape(y.shape)
 
 
-def maxpool3d_backward(grad_out: np.ndarray, argmax: np.ndarray, x_shape):
-    """Route each output gradient to the input position that won its window:
-    one-hot window columns, scattered as the conv scatters its own."""
+def maxpool3d_backward(grad_out: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Route each output gradient to the element of ``x`` its window pooled
+    to ``y`` from (:func:`_pool_winner`): one-hot window columns, scattered
+    as the conv scatters its own."""
     n, c, to, ho, wo = grad_out.shape
     kernel, stride, padding = POOL_GEOMETRY
     cols = np.zeros((n, c, np.prod(kernel), to * ho * wo), grad_out.dtype)
-    np.put_along_axis(cols, argmax.reshape(n, c, 1, -1),
+    np.put_along_axis(cols, _pool_winner(x, y).reshape(n, c, 1, -1),
                       grad_out.reshape(n, c, 1, -1), axis=2)
-    return _col2im(cols, x_shape, kernel, stride, padding, (to, ho, wo))
+    return _col2im(cols, x.shape, kernel, stride, padding, (to, ho, wo))
 
 
 def avgpool_spatial(x: np.ndarray) -> np.ndarray:
@@ -364,6 +389,15 @@ def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
                      dtype=np.float64)
 
 
+def _check_batchnorm_args(x, scale, shift, running_mean, running_var):
+    check_tensor5(x)
+    c = x.shape[1]
+    for name, arr in (("scale", scale), ("shift", shift),
+                      ("running_mean", running_mean), ("running_var", running_var)):
+        if arr.shape != (c,):
+            raise ShapeError(f"{name} shape {arr.shape}, expected ({c},)")
+
+
 def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray,
                       mode: str = "train"):
@@ -374,14 +408,9 @@ def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     stats unchanged.  Returns ``(y, new_mean, new_var, cache)``; ``y`` has the
     dtype of ``x``, the running stats that of ``running_mean``/``running_var``.
     """
-    check_tensor5(x)
-    c = x.shape[1]
-    for name, arr in (("scale", scale), ("shift", shift),
-                      ("running_mean", running_mean), ("running_var", running_var)):
-        if arr.shape != (c,):
-            raise ShapeError(f"{name} shape {arr.shape}, expected ({c},)")
+    _check_batchnorm_args(x, scale, shift, running_mean, running_var)
     if mode == "train":
-        m = x.size // c
+        m = x.size // x.shape[1]
         mean = _channel_sum(x) / m
         xhat = x - _channel_vector(mean, x.dtype)
         var = _channel_sum(xhat, xhat) / m
@@ -404,6 +433,21 @@ def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     return y, new_mean, new_var, cache
 
 
+def batchnorm_eval_inplace(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+                           running_mean: np.ndarray,
+                           running_var: np.ndarray) -> np.ndarray:
+    """Eval-mode :func:`batchnorm_forward` written over ``x``: the same
+    operations in the same order, so the same bytes, with no allocation and
+    no backward cache.  Returns ``x``."""
+    _check_batchnorm_args(x, scale, shift, running_mean, running_var)
+    inv_std = 1.0 / np.sqrt(running_var.astype(np.float64) + BN_EPS)
+    x -= _channel_vector(running_mean, x.dtype)
+    x *= _channel_vector(inv_std, x.dtype)
+    x *= _channel_vector(scale, x.dtype)
+    x += _channel_vector(shift, x.dtype)
+    return x
+
+
 def batchnorm_backward(cache, scale: np.ndarray, grad_out: np.ndarray):
     """Gradients w.r.t. input, scale, and shift for either mode.
 
@@ -424,12 +468,14 @@ def batchnorm_backward(cache, scale: np.ndarray, grad_out: np.ndarray):
             gshift.astype(scale.dtype, copy=False))
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``max(x, 0)``, into ``out`` when given."""
+    return np.maximum(x, 0, out=out)
 
 
-def relu_backward(pre_activation: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return np.where(pre_activation > 0, grad_out, 0)
+def relu_backward(output: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Mask ``grad_out`` by ``output > 0``, which holds where the input did."""
+    return np.where(output > 0, grad_out, 0)
 
 
 def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,

@@ -70,7 +70,7 @@ def naive_maxpool3d(x, grad_out):
                 constant_values=-np.inf)
     gxp = np.zeros(xp.shape, dtype=grad_out.dtype)
     y = np.empty((n, c, to, ho, wo), dtype=x.dtype)
-    argmax = np.empty((n, c, to, ho, wo), dtype=np.int16)
+    argmax = np.empty((n, c, to, ho, wo), dtype=np.intp)
     for b, ch, ti, hi, wi in np.ndindex(n, c, to, ho, wo):
         best, best_at = None, None
         for flat, (dt, dh, dw) in enumerate(np.ndindex(kt, kh, kw)):

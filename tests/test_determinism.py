@@ -14,17 +14,19 @@ import dmsn
 SRC = str(Path(dmsn.__file__).resolve().parents[1])
 
 # Hashes every array a micro eval forward caches, plus the scores, for float32
-# clips and float64 parameters (the init_params default).  The micro models'
-# per-tap GEMM depths stay under the 448 split.  Direct 3x3x3 convs from 64
-# channels (576 per tap, as in a full-width spatial conv) and from 56 (504)
-# are cut inside a tap; unsplit, 504 differs between thread counts on
+# clips and float64 parameters (the init_params default), and the scores of
+# the uncached forward (model_forward, which normalizes in place).  The micro
+# models' per-tap GEMM depths stay under the 448 split.  Direct 3x3x3 convs
+# from 64 channels (576 per tap, as in a full-width spatial conv) and from 56
+# (504) are cut inside a tap; unsplit, 504 differs between thread counts on
 # OpenBLAS 0.3.31, while 576 happens to match.
 FORWARD_DIGEST = """
 import hashlib
 from fractions import Fraction
 import numpy as np
 from dmsn.blocks import RunState
-from dmsn.model import ModelConfig, build_model, forward_with_state, init_params
+from dmsn.model import (ModelConfig, build_model, forward_with_state,
+                        init_params, model_forward)
 from dmsn.ops import ConvLayerSpec, conv3d_forward
 
 def arrays(value):
@@ -38,12 +40,14 @@ clip = np.random.default_rng(3).normal(size=(2, 3, 8, 32, 32)).astype(np.float32
 for kind in ("dmsn", "dmsn-a", "dmsn-c"):
     spec = build_model(ModelConfig(model_kind=kind, clip_len=8, input_size=(32, 32),
                                    width_multiplier=Fraction(1, 8)))
+    params = init_params(spec, seed=0)
     state = RunState(mode="eval", cache={})
-    scores = forward_with_state(spec, init_params(spec, seed=0), clip, state)
+    scores = forward_with_state(spec, params, clip, state)
     digest = hashlib.sha256(scores.tobytes())
     for key in sorted(state.cache):
         for arr in arrays(state.cache[key]):
             digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(model_forward(spec, params, clip).tobytes())
     print(kind, scores.dtype, digest.hexdigest())
 
 for c in (64, 56):

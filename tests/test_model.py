@@ -169,6 +169,43 @@ class TestForwardBackward:
         assert model_plan(spec, shape) is model_plan(spec, shape)
         assert model_plan(spec, list(shape)) is model_plan(spec, shape)
 
+    def test_equal_specs_built_apart_share_one_plan(self):
+        a, b = build_model(MICRO), build_model(MICRO)
+        assert a is not b and a == b and hash(a) == hash(b)
+        block_a, block_b = a.stages[1][1][0], b.stages[1][1][0]
+        assert block_a is not block_b and block_a == block_b
+        assert hash(block_a) == hash(block_b)
+        assert a != build_model(ModelConfig(clip_len=8, input_size=(32, 32),
+                                            width_multiplier=Fraction(1, 4)))
+        shape = (2, 3, 8, 32, 32)
+        assert model_plan(a, shape) is model_plan(b, shape)
+
+    @pytest.mark.parametrize("kind", ["dmsn", "dmsn-a", "dmsn-c"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uncached_eval_matches_cached_eval_bytewise(self, kind, dtype):
+        # model_forward normalizes and rectifies in place; the cached path
+        # runs batchnorm_forward and keeps its intermediates
+        spec = build_model(ModelConfig(model_kind=kind, clip_len=8,
+                                       input_size=(32, 32),
+                                       width_multiplier=Fraction(1, 8)))
+        params = init_params(spec, seed=3)
+        rng = np.random.default_rng(3)
+        for name, arr in params.items():   # batchnorm away from identity
+            if name.endswith((".scale", ".shift", ".mean")):
+                params[name] = rng.normal(size=arr.shape)
+            elif name.endswith(".var"):
+                params[name] = rng.uniform(0.5, 2.0, size=arr.shape)
+        clip = rng.normal(size=(2, 3, 8, 32, 32)).astype(dtype)
+        before = {name: arr.tobytes() for name, arr in params.items()}
+        clip_bytes = clip.tobytes()
+        scores = model_forward(spec, params, clip, mode="eval")
+        assert clip.tobytes() == clip_bytes
+        assert {name: arr.tobytes() for name, arr in params.items()} == before
+        cached = forward_with_state(spec, params, clip,
+                                    RunState(mode="eval", cache={}))
+        assert scores.dtype == cached.dtype == dtype
+        assert scores.tobytes() == cached.tobytes()
+
     def test_zero_grad_scores_give_zero_gradients(self):
         spec, params, clip = micro_setup(seed=4)
         grads = model_backward(spec, params, clip, np.zeros(2))
@@ -229,9 +266,9 @@ class TestResetHead:
         sa = forward_with_state(spec, params, clip, cap_a)
         sb = forward_with_state(spec, fresh, clip, cap_b)
         assert not np.allclose(sa, sb)
-        pre_a = cap_a.cache["res2.1.sum"]
-        pre_b = cap_b.cache["res2.1.sum"]
-        np.testing.assert_array_equal(pre_a, pre_b)
+        out_a = cap_a.cache["res2.1.sum"]
+        out_b = cap_b.cache["res2.1.sum"]
+        np.testing.assert_array_equal(out_a, out_b)
 
 
 def _checkpoint_bytes(config_text: str, entries) -> bytes:

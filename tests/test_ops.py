@@ -242,28 +242,28 @@ class TestFloat32Compute:
 class TestPooling:
     def test_stem_pool_geometry(self):
         x = np.zeros((1, 64, 16, 56, 56), dtype=np.float32)
-        y, _ = ops.maxpool3d(x)
+        y = ops.maxpool3d(x)
         assert y.shape == (1, 64, 8, 28, 28)
 
     def test_constant_input_gives_constant_output(self):
         x = np.full((1, 2, 6, 8, 8), 3.25, dtype=np.float32)
-        y, _ = ops.maxpool3d(x)
+        y = ops.maxpool3d(x)
         np.testing.assert_array_equal(y, np.full_like(y, 3.25))
 
     def test_backward_routes_to_argmax(self):
         # two overlapping windows along w, {-1, 0, 1} and {1, 2, 3}, both won
         # by w = 1, which collects both output gradients
         x = np.array([1.0, 5.0, 2.0, 3.0]).reshape(1, 1, 1, 1, 4)
-        y, idx = ops.maxpool3d(x)
+        y = ops.maxpool3d(x)
         np.testing.assert_array_equal(y[0, 0, 0, 0], [5.0, 5.0])
         gx = ops.maxpool3d_backward(np.array([1.0, 10.0]).reshape(y.shape),
-                                    idx, x.shape)
+                                    x, y)
         np.testing.assert_array_equal(gx[0, 0, 0, 0], [0.0, 11.0, 0.0, 0.0])
 
     def test_max_equals_naive_windows(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 3, 7, 9, 9))
-        y, _ = ops.maxpool3d(x)
+        y = ops.maxpool3d(x)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)),
                     constant_values=-np.inf)
         for pick in [(0, 0, 0, 0, 0), (1, 2, 3, 2, 4), (0, 1, 2, 4, 0)]:
@@ -285,11 +285,12 @@ class TestPooling:
             x = rng.integers(-2, 3, size=shape).astype(dtype)
         else:
             x = rng.normal(size=shape).astype(dtype)
-        y, idx = ops.maxpool3d(x)
+        y = ops.maxpool3d(x)
+        idx = ops._pool_winner(x, y)
         g = rng.integers(-8, 9, size=y.shape).astype(dtype)
         want_y, want_idx, want_gx = naive_maxpool3d(x, g)
-        gx = ops.maxpool3d_backward(g, idx, x.shape)
-        assert idx.dtype == np.int16 and gx.dtype == dtype
+        gx = ops.maxpool3d_backward(g, x, y)
+        assert gx.dtype == dtype
         for got, want in ((y, want_y), (idx, want_idx), (gx, want_gx)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -297,12 +298,31 @@ class TestPooling:
     def test_nan_in_window_propagates(self):
         x = np.arange(64, dtype=np.float32).reshape(1, 1, 4, 4, 4)
         x[0, 0, 1, 1, 1] = np.nan
-        y, idx = ops.maxpool3d(x)
+        y = ops.maxpool3d(x)
+        idx = ops._pool_winner(x, y)
         _, want_idx, _ = naive_maxpool3d(x, np.zeros_like(y))
         # windows t, h, w in {-1, 0, 1} and {1, 2, 3} all hold (1, 1, 1)
         assert np.isnan(y).all()
         np.testing.assert_array_equal(idx, want_idx)
         assert idx[0, 0, 0, 0, 0] == 26 and idx[0, 0, 1, 1, 1] == 0
+
+    def test_signed_zero_ties_keep_the_first_element(self):
+        # The forward leans on np.maximum(later, earlier) returning its
+        # second operand on ties, which numpy does not document.  Along w the
+        # windows are {-1, 0, 1}, {1, 2, 3}, {3, 4, 5}: each value must be the
+        # bytes of the window's first zero, and the backward must route to it.
+        for dtype in (np.float32, np.float64):
+            later, earlier = np.zeros(33, dtype), np.full(33, -0.0, dtype)
+            assert np.signbit(np.maximum(later, earlier)).all()
+            assert not np.signbit(np.maximum(earlier, later)).any()
+            for xs, want in (([-0.0, 0.0, 0.0, -0.0, -1.0], [-0.0, 0.0, -0.0]),
+                             ([0.0, -0.0, -0.0, 0.0, -1.0], [0.0, -0.0, 0.0])):
+                x = np.array(xs, dtype).reshape(1, 1, 1, 1, 5)
+                y = ops.maxpool3d(x)
+                assert y.ravel().tobytes() == np.array(want, dtype).tobytes()
+                g = np.array([1.0, 2.0, 4.0], dtype).reshape(y.shape)
+                gx = ops.maxpool3d_backward(g, x, y)
+                np.testing.assert_array_equal(gx.ravel(), [1, 2, 0, 4, 0])
 
     def test_spatial_average(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 2, 2)
