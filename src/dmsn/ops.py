@@ -9,13 +9,18 @@ moments and gradient sums, pooling means) accumulate in float64 without
 upcasting the tensor.  Parameter gradients and running statistics come back
 in the parameter dtype.
 
-A conv forward reduces one temporal tap per GEMM, each GEMM splits its
-reduction axis at fixed offsets (``_GEMM_DEPTH``), and the pieces are added
-in order, so a float32 forward pass gives the same bytes at 1 and 2 BLAS
-threads.  (Float64 GEMMs on OpenBLAS 0.3.31 can differ between thread counts
-at any depth.)  The max pool forward is separable and keeps only values; its
-backward shares the conv's window gather (:func:`_windows`) and scatter
-(:func:`_col2im`).  A window holding a NaN pools to NaN.
+A conv forward reduces one temporal tap per GEMM (:func:`_correlate`), each
+GEMM splits its reduction axis at fixed offsets (``_GEMM_DEPTH``), and the
+pieces are added in order, so a float32 forward pass gives the same bytes at
+1 and 2 BLAS threads, and the conv backward splits its GEMMs alike.  (Float64
+GEMMs on OpenBLAS 0.3.31 can differ between thread counts at any depth.)  At
+stride 1 a conv's input gradient needs no scatter: a conv wider than 1 in h
+or w runs the forward lowering on the output gradient's windows with the
+flipped, channel-swapped kernel, and takes its weight gradient from the same
+windows; a pointwise conv is one GEMM.  Temporal and strided convs scatter
+window gradients tap by tap (:func:`_col2im`).  The max pool forward is
+separable and keeps only values; its backward makes one pass per kernel
+offset over strided views.  A window holding a NaN pools to NaN.
 
 All functions are pure with respect to their array arguments, except two that
 write into an array their caller owns: :func:`batchnorm_eval_inplace`
@@ -199,15 +204,15 @@ def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
     return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
 
 
-def _taps(xp: np.ndarray, spec: ConvLayerSpec, out_tail) -> np.ndarray:
+def _taps(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
     """Gather the ``(c*kh*kw)`` spatial windows of every padded frame once and
     return what each temporal tap meets in them, as
     ``(kt, n, c*kh*kw, to*ho*wo)``: tap ``dt`` reads frames ``dt, dt + st,
     ..., dt + st*(to-1)``.  At temporal stride 1 this is a view of the one
     gather."""
     n, c, t_pad = xp.shape[:3]
-    kt, kh, kw = spec.kernel
-    st, sh, sw = spec.stride
+    kt, kh, kw = kernel
+    st, sh, sw = stride
     to, ho, wo = out_tail
     # Contiguous, as the view below needs; only degenerate geometries copy.
     cols = np.ascontiguousarray(
@@ -217,6 +222,19 @@ def _taps(xp: np.ndarray, spec: ConvLayerSpec, out_tail) -> np.ndarray:
     view = np.ndarray((kt, n, c * kh * kw, to, ho * wo), cols.dtype, cols, 0,
                       (sf, sn, sr, sf * st, cols.itemsize))
     return view.reshape(kt, n, c * kh * kw, to * ho * wo)
+
+
+def _correlate(taps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The forward lowering over the ``(kt, n, c*kh*kw, P)`` taps of
+    :func:`_taps`: tap ``dt`` is one GEMM of ``weights[:, :, dt]`` with what
+    it meets, and the taps' products are added in tap order.  Returns
+    ``(n, out_c, P)`` in the dtype of ``taps``."""
+    w = weights.astype(taps.dtype, copy=False).transpose(2, 0, 1, 3, 4).reshape(
+        len(taps), weights.shape[0], -1)        # w[dt] = weights[:, :, dt]
+    y = _gemm(w[0], taps[0])
+    for dt in range(1, len(taps)):
+        y += _gemm(w[dt], taps[dt])
+    return y
 
 
 def _col2im(gcols: np.ndarray, x_shape, kernel, stride, padding, out_tail):
@@ -253,25 +271,31 @@ def conv3d_forward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
                    counter: MacCounter | None = None) -> np.ndarray:
     """Cross-correlate ``x`` with ``weights``, in the dtype of ``x``.
 
-    Lowered per temporal tap: the spatial windows of every padded frame are
-    gathered once (:func:`_taps`), tap ``dt`` is one GEMM of
+    Lowered per temporal tap (:func:`_correlate`): the spatial windows of
+    every padded frame are gathered once, tap ``dt`` is one GEMM of
     ``weights[:, :, dt]`` with the frames it meets, and the taps' products
     are added in tap order.  At temporal stride 1 each tap is a view of the
     one gather.
     """
     _check_conv_args(x, spec, weights, bias)
     n, co, to, ho, wo = conv_output_shape(x.shape, spec)
-    taps = _taps(_pad5(x, spec.padding), spec, (to, ho, wo))
-    w = weights.astype(x.dtype, copy=False).transpose(2, 0, 1, 3, 4).reshape(
-        len(taps), co, -1)                      # w[dt] = weights[:, :, dt]
-    y = _gemm(w[0], taps[0])
-    for dt in range(1, len(taps)):
-        y += _gemm(w[dt], taps[dt])
+    y = _correlate(_taps(_pad5(x, spec.padding), spec.kernel, spec.stride,
+                         (to, ho, wo)), weights)
     if counter is not None:
         counter.add(n * spec.weight_count * to * ho * wo)
     if bias is not None:
         y += bias.astype(x.dtype)[:, None]
     return y.reshape(n, co, to, ho, wo)
+
+
+def _flip_pad(spec: ConvLayerSpec):
+    """The padding ``k - 1 - p`` of the flipped-kernel forward that gives a
+    stride-1 conv wider than 1 in h or w its gradients, or None for any
+    other conv (or a padding as wide as the kernel)."""
+    if (spec.stride != (1, 1, 1) or spec.is_temporal
+            or any(p >= k for p, k in zip(spec.padding, spec.kernel))):
+        return None
+    return tuple(k - 1 - p for p, k in zip(spec.padding, spec.kernel))
 
 
 def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
@@ -281,34 +305,61 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     Returns ``(grad_x, grad_weights, grad_bias)``; ``grad_bias`` is always
     computed (callers for bias-free layers just drop it), and ``grad_x`` is
     None when the caller declares it unused.  ``grad_x`` has the dtype of
-    ``x``, the other two that of ``weights``.
+    ``x``, the other two that of ``weights``.  Every GEMM reduction is cut
+    at ``_GEMM_DEPTH``, as the forward's are.
 
-    The weight gradient is lowered per temporal tap like the forward: with
-    ``tap`` what tap ``dt`` meets in the one gather of :func:`_taps`,
-    ``grad_weights[:, :, dt]`` is ``sum_n grad_out[n] @ tap[n].T``.  The
-    input gradient is one GEMM, ``weights.T @ grad_out`` over all taps, that
-    :func:`_col2im` scatters onto the padded input gradient tap by tap;
-    per-tap GEMMs would triple the GEMM calls of the small temporal convs of
-    a desk step.
+    A stride-1 conv wider than 1 in h or w (:func:`_flip_pad`) gathers the
+    windows of ``grad_out`` padded by ``k - 1 - p``, once.  ``grad_x`` is the
+    forward lowering (:func:`_correlate`) of those windows with the kernel
+    flipped on all three axes and its channel axes swapped, and tap ``dt``
+    of the flipped kernel's weight gradient is ``sum_n x[n] @ window[n].T``.
+    Neither gathers ``x``.
+
+    Every other conv gathers the windows of ``x`` as the forward does
+    (:func:`_taps`): ``grad_weights[:, :, dt]`` is
+    ``sum_n grad_out[n] @ tap[n].T``.  An unpadded stride-1 pointwise conv's
+    ``grad_x`` is ``weights.T @ grad_out``.  The rest make one GEMM,
+    ``weights.T @ grad_out`` over all taps, that :func:`_col2im` scatters
+    onto the padded input gradient tap by tap; per-tap GEMMs would triple the
+    GEMM calls of the small temporal convs of a desk step.
     """
     _check_conv_args(x, spec, weights, None)
     out_shape = conv_output_shape(x.shape, spec)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {out_shape}")
     n, co, to, ho, wo = out_shape
+    ci = spec.in_channels
     kt, kh, kw = spec.kernel
-    taps = _taps(_pad5(x, spec.padding), spec, (to, ho, wo))
-    go = grad_out.astype(x.dtype, copy=False).reshape(n, co, -1)
-    # taps @ go.T, the transpose of go @ taps.T, puts the window rows on the
-    # GEMM's long side: twice as fast for the stem.
-    gw = (taps @ go.transpose(0, 2, 1)).sum(axis=1)      # (kt, c*kh*kw, co)
-    gw = gw.reshape(kt, -1, kh, kw, co).transpose(4, 1, 0, 2, 3)
-    gb = go.sum(axis=(0, 2), dtype=np.float64)
+    w = weights.astype(x.dtype, copy=False)
+    go = grad_out.astype(x.dtype, copy=False)
+    go3 = go.reshape(n, co, -1)
+    gb = go3.sum(axis=(0, 2), dtype=np.float64)
     gx = None
-    if need_input_grad:
-        w = weights.reshape(co, -1).astype(x.dtype, copy=False)
-        gx = _col2im(w.T @ go, x.shape, spec.kernel, spec.stride,
-                     spec.padding, (to, ho, wo))
+    flip_pad = _flip_pad(spec)
+    if flip_pad is not None:
+        windows = _taps(_pad5(go, flip_pad), spec.kernel, (1, 1, 1),
+                        x.shape[2:])
+        gw = _gemm(x.reshape(n, ci, -1), windows.transpose(0, 1, 3, 2))
+        gw = gw.sum(axis=1).reshape(kt, ci, co, kh, kw).transpose(
+            2, 1, 0, 3, 4)[:, :, ::-1, ::-1, ::-1]
+        if need_input_grad:
+            flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            gx = _correlate(windows, flipped).reshape(x.shape)
+    else:
+        taps = _taps(_pad5(x, spec.padding), spec.kernel, spec.stride,
+                     (to, ho, wo))
+        # taps @ go.T, the transpose of go @ taps.T, puts the window rows on
+        # the GEMM's long side: twice as fast for the stem.
+        gw = _gemm(taps, go3.transpose(0, 2, 1)).sum(axis=1)
+        gw = gw.reshape(kt, ci, kh, kw, co).transpose(4, 1, 0, 2, 3)
+        if need_input_grad:
+            gcols = _gemm(w.reshape(co, -1).T, go3)
+            if (spec.is_pointwise and spec.stride == (1, 1, 1)
+                    and spec.padding == (0, 0, 0)):
+                gx = gcols.reshape(x.shape)
+            else:
+                gx = _col2im(gcols, x.shape, spec.kernel, spec.stride,
+                             spec.padding, (to, ho, wo))
     return (gx, gw.astype(weights.dtype, order="C"),
             gb.astype(weights.dtype, copy=False))
 
@@ -338,29 +389,35 @@ def maxpool3d(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _pool_winner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The flat kernel offset of the element each window of ``x`` pooled to
-    ``y`` from: the first element equal to ``y``, or the first NaN when ``y``
-    is NaN, as :func:`maxpool3d`'s tie rule picks it.  Shaped like ``y``."""
-    kernel, stride, padding = POOL_GEOMETRY
-    n, c, to, ho, wo = y.shape
-    cols = _windows(_pad5(x, padding, value=-np.inf), kernel, stride,
-                    (to, ho, wo)).reshape(n, c, -1, to * ho * wo)
-    won = cols == y.reshape(n, c, 1, -1)
-    won |= cols != cols
-    return won.argmax(axis=2).reshape(y.shape)
-
-
 def maxpool3d_backward(grad_out: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Route each output gradient to the element of ``x`` its window pooled
-    to ``y`` from (:func:`_pool_winner`): one-hot window columns, scattered
-    as the conv scatters its own."""
-    n, c, to, ho, wo = grad_out.shape
-    kernel, stride, padding = POOL_GEOMETRY
-    cols = np.zeros((n, c, np.prod(kernel), to * ho * wo), grad_out.dtype)
-    np.put_along_axis(cols, _pool_winner(x, y).reshape(n, c, 1, -1),
-                      grad_out.reshape(n, c, 1, -1), axis=2)
-    return _col2im(cols, x.shape, kernel, stride, padding, (to, ho, wo))
+    to ``y`` from: the first element equal to ``y``, or the first NaN when
+    ``y`` is NaN, as :func:`maxpool3d`'s tie rule picks it.
+
+    One pass per kernel offset, in ``np.ndindex`` order, over the strided
+    view of the -inf padded input that the offset meets in every window:
+    the offset wins where it holds the value and no earlier offset has won,
+    and adds its output gradients, zero elsewhere, onto that view of the
+    padded input gradient.
+    """
+    to, ho, wo = grad_out.shape[2:]
+    kernel, (st, sh, sw), padding = POOL_GEOMETRY
+    xp = _pad5(x, padding, value=-np.inf)
+    gxp = np.zeros(xp.shape, grad_out.dtype)
+    free = np.ones(y.shape, bool)
+    # every element of x lies in some window, so x holds a NaN iff y does
+    has_nan = bool(np.isnan(y).any())
+    for dt, dh, dw in np.ndindex(*kernel):
+        at = (slice(None), slice(None), slice(dt, dt + st * to, st),
+              slice(dh, dh + sh * ho, sh), slice(dw, dw + sw * wo, sw))
+        view = xp[at]
+        hit = view == y
+        if has_nan:
+            hit |= view != view
+        hit &= free
+        free &= ~hit
+        gxp[at] += np.where(hit, grad_out, 0)
+    return _crop5(gxp, padding, x.shape)
 
 
 def avgpool_spatial(x: np.ndarray) -> np.ndarray:

@@ -43,11 +43,18 @@ LOSSES = {"mse": mse_loss, "mae": mae_loss}
 
 # entries never touched by weight decay
 _NO_DECAY_SUFFIXES = (".scale", ".shift")
+# The optimizer updates whole entries in chunks of about this many elements:
+# one model-sized flat copy would raise the training step's peak memory.
+_UPDATE_CHUNK = 1 << 16
 
 
 @dataclass
 class OptimizerState:
-    """Per-parameter auxiliary buffers plus hyperparameters for one optimizer."""
+    """Per-parameter auxiliary buffers plus hyperparameters for one optimizer.
+
+    ``slots`` maps each entry to its optimizer buffers, as views into one
+    float64 buffer per chunk of entries, which each step updates in place.
+    """
 
     kind: str                      # "sgd" | "adam"
     lr: float
@@ -57,6 +64,9 @@ class OptimizerState:
     eps: float = 1e-8
     step_count: int = 0
     slots: dict[str, object] = field(default_factory=dict)
+    # chunk layout -> that chunk's buffers, which ``slots`` holds views of
+    _buffers: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
 
 def init_optimizer(kind: str, lr: float, **hyper) -> OptimizerState:
@@ -65,52 +75,131 @@ def init_optimizer(kind: str, lr: float, **hyper) -> OptimizerState:
     return OptimizerState(kind=kind, lr=lr, **hyper)
 
 
-def _apply_update(params: dict, grads: dict, state: OptimizerState,
-                  update) -> dict:
-    """The per-entry driver of both optimizers; returns new params.
+def _chunks(params: dict, grads: dict) -> list[list[tuple]]:
+    """Whole entries of ``grads``, in order, as ``(name, shape)`` lists of
+    about ``_UPDATE_CHUNK`` elements each; checks every shape first."""
+    chunks, size = [], 0
+    for name, grad in grads.items():
+        if grad.shape != params[name].shape:
+            raise ValueError(f"{name}: grad shape {grad.shape} != param shape "
+                             f"{params[name].shape}")
+        if not chunks or size + grad.size > _UPDATE_CHUNK:
+            chunks.append([])
+            size = 0
+        chunks[-1].append((name, grad.shape))
+        size += grad.size
+    return chunks
 
-    ``update(g, slot)`` gets the float64 gradient, decayed except on
-    ``.scale``/``.shift``, and the entry's slot (None at first); it returns
-    ``(step, new slot)``, and the entry becomes ``theta - step`` in its dtype.
+
+def _views(flat: np.ndarray, chunk) -> list[np.ndarray]:
+    """One view of a chunk's flat buffer per entry, in the entry's shape."""
+    views, at = [], 0
+    for _, shape in chunk:
+        end = at + math.prod(shape)
+        views.append(flat[at:end].reshape(shape))
+        at = end
+    return views
+
+
+def _slot_buffers(state: OptimizerState, chunk, fills) -> list[np.ndarray]:
+    """The chunk's float64 slot buffers, one per value in ``fills``.
+
+    On a chunk layout's first step they are assembled from the entries'
+    slots, ``fills`` where an entry has none, and ``state.slots`` then
+    holds views of them.
+    """
+    key = tuple(chunk)
+    if key not in state._buffers:
+        # drop the buffers whose views the chunk's slots stop being
+        names = {name for name, _ in chunk}
+        for other in [k for k in state._buffers
+                      if any(name in names for name, _ in k)]:
+            del state._buffers[other]
+        old = [state.slots.get(name) for name, _ in chunk]
+        if len(fills) == 1:
+            old = [slot if slot is None else (slot,) for slot in old]
+        buffers = [np.concatenate(
+            [(np.full(shape, fill) if slot is None else slot[i]).ravel()
+             for (_, shape), slot in zip(chunk, old)], dtype=np.float64)
+            for i, fill in enumerate(fills)]
+        for (name, _), views in zip(
+                chunk, zip(*(_views(b, chunk) for b in buffers))):
+            state.slots[name] = views if len(views) > 1 else views[0]
+        state._buffers[key] = buffers
+    return state._buffers[key]
+
+
+def _apply_update(params: dict, grads: dict, state: OptimizerState,
+                  fills, update) -> dict:
+    """The chunked driver of both optimizers; returns new params.
+
+    Per chunk, ``update(g, buffers)`` gets the chunk's float64 gradients,
+    decayed except on ``.scale``/``.shift``, and its slot buffers (see
+    :func:`_slot_buffers`), updates the buffers in place and returns the
+    step; each entry becomes ``theta - step`` in its dtype, a view of one
+    fresh buffer per chunk.  The caller's params and grads are not written.
     """
     out = dict(params)
-    for name, grad in grads.items():
-        theta = params[name]
-        if grad.shape != theta.shape:
-            raise ValueError(f"{name}: grad shape {grad.shape} != param shape "
-                             f"{theta.shape}")
-        g = grad.astype(np.float64, copy=False)
-        if state.weight_decay and not name.endswith(_NO_DECAY_SUFFIXES):
-            g = g + state.weight_decay * theta.astype(np.float64, copy=False)
-        step, state.slots[name] = update(g, state.slots.get(name))
-        out[name] = (theta - step).astype(theta.dtype, copy=False)
+    for chunk in _chunks(params, grads):
+        g = np.concatenate([grads[name].ravel() for name, _ in chunk],
+                           dtype=np.float64)
+        theta = np.concatenate([params[name].ravel() for name, _ in chunk],
+                               dtype=np.float64)
+        if state.weight_decay:
+            # g + wd*theta where decayed; elsewhere g is left as it is, since
+            # adding a masked 0.0 would turn a -0.0 gradient into +0.0
+            decay = np.repeat(
+                [not name.endswith(_NO_DECAY_SUFFIXES) for name, _ in chunk],
+                [math.prod(shape) for _, shape in chunk])
+            np.add(g, state.weight_decay * theta, out=g, where=decay)
+        theta -= update(g, _slot_buffers(state, chunk, fills))
+        for (name, _), view in zip(chunk, _views(theta, chunk)):
+            out[name] = view.astype(params[name].dtype, copy=False)
     state.step_count += 1
     return out
 
 
 def sgd_step(params: dict, grads: dict, state: OptimizerState) -> dict:
-    """v <- momentum*v + g + wd*theta; theta <- theta - lr*v. Returns new params."""
-    def update(g, v):
-        v = g if v is None else state.momentum * v + g
-        return state.lr * v, v
+    """v <- momentum*v + g + wd*theta; theta <- theta - lr*v. Returns new params.
 
-    return _apply_update(params, grads, state, update)
+    A new slot starts at -0.0, which adds to ``momentum*v + g`` as nothing,
+    so a first step gives ``v = g`` bit for bit.
+    """
+    def update(g, buffers):
+        (v,) = buffers
+        v *= state.momentum
+        v += g
+        return np.multiply(v, state.lr, out=g)
+
+    return _apply_update(params, grads, state, (-0.0,), update)
 
 
 def adam_step(params: dict, grads: dict, state: OptimizerState) -> dict:
-    """Bias-corrected first/second moment update. Returns new params."""
+    """Bias-corrected first/second moment update. Returns new params.
+
+    Per element: ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    step ``(lr*m_hat) / (sqrt(v_hat) + eps)``.
+    """
     b1, b2 = state.betas
     t = state.step_count + 1
 
-    def update(g, slot):
-        m, v = (np.zeros_like(g), np.zeros_like(g)) if slot is None else slot
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        return state.lr * m_hat / (np.sqrt(v_hat) + state.eps), (m, v)
+    def update(g, buffers):
+        m, v = buffers
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        g2 = (1 - b2) * g
+        g2 *= g
+        v += g2
+        step = np.divide(m, 1 - b1 ** t, out=g)
+        step *= state.lr
+        den = np.divide(v, 1 - b2 ** t, out=g2)
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        return step
 
-    return _apply_update(params, grads, state, update)
+    return _apply_update(params, grads, state, (0.0, 0.0), update)
 
 
 OPTIMIZER_STEPS = {"sgd": sgd_step, "adam": adam_step}

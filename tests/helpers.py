@@ -5,6 +5,7 @@ import numpy as np
 from dmsn.blocks import RunState, unit_backward, unit_forward
 from dmsn.ops import (POOL_GEOMETRY, ConvLayerSpec, conv_output_shape,
                       window_output_shape)
+from dmsn.training import _NO_DECAY_SUFFIXES
 
 
 def naive_conv3d(x, spec: ConvLayerSpec, weights, bias=None):
@@ -107,3 +108,41 @@ def branch_chain_gradient(spec, params, x, tap):
     for name, conv in reversed(chain):
         grad = unit_backward(name, conv, True, params, state.cache, grad, {})
     return grad
+
+
+def reference_optimizer_step(params, grads, state):
+    """Oracle for ``training.sgd_step`` / ``adam_step``: one entry at a time,
+    a fresh slot array per entry, as the optimizers were first written.
+
+    ``state.slots`` gets each entry's float64 slot (``v`` for SGD, ``(m, v)``
+    for Adam), None before its first step.
+    """
+    b1, b2 = state.betas
+    t = state.step_count + 1
+
+    def sgd(g, v):
+        v = g if v is None else state.momentum * v + g
+        return state.lr * v, v
+
+    def adam(g, slot):
+        m, v = (np.zeros_like(g), np.zeros_like(g)) if slot is None else slot
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        return state.lr * m_hat / (np.sqrt(v_hat) + state.eps), (m, v)
+
+    update = {"sgd": sgd, "adam": adam}[state.kind]
+    out = dict(params)
+    for name, grad in grads.items():
+        theta = params[name]
+        if grad.shape != theta.shape:
+            raise ValueError(f"{name}: grad shape {grad.shape} != param shape "
+                             f"{theta.shape}")
+        g = grad.astype(np.float64, copy=False)
+        if state.weight_decay and not name.endswith(_NO_DECAY_SUFFIXES):
+            g = g + state.weight_decay * theta.astype(np.float64, copy=False)
+        step, state.slots[name] = update(g, state.slots.get(name))
+        out[name] = (theta - step).astype(theta.dtype, copy=False)
+    state.step_count += 1
+    return out

@@ -1,4 +1,4 @@
-"""Forward outputs do not depend on the BLAS thread count.
+"""Forward outputs and gradients do not depend on the BLAS thread count.
 
 Each run happens in a fresh interpreter, because OpenBLAS reads its thread
 count once, when numpy is first imported.
@@ -59,17 +59,56 @@ for c in (64, 56):
 """
 
 
-def _run_forward(threads: int) -> str:
+# Hashes the input and weight gradients of a 64->64 (1, 3, 3) conv, whose
+# weight gradient reduces over 784 output positions per sample, and every
+# gradient of a desk-scale train-mode backward (batch 8, 8x32x32 clips, width
+# 1/8), whose stem reduces over 2,048.  Both reductions are cut at the
+# forward's GEMM depth; unsplit, the conv's weight gradient differs between
+# 1 and 2 threads on OpenBLAS 0.3.31.
+BACKWARD_DIGEST = """
+import hashlib
+from fractions import Fraction
+import numpy as np
+from dmsn.model import ModelConfig, build_model, init_params, model_backward
+from dmsn.ops import ConvLayerSpec, conv3d_backward
+
+rng = np.random.default_rng(5)
+spec = ConvLayerSpec(64, 64, (1, 3, 3), padding=(0, 1, 1))
+x = rng.normal(size=(2, 64, 4, 14, 14)).astype(np.float32)
+go = rng.normal(size=x.shape).astype(np.float32)
+gx, gw, _ = conv3d_backward(x, spec, rng.normal(size=spec.weight_shape), go)
+print("conv gx", gx.dtype, hashlib.sha256(gx.tobytes()).hexdigest())
+print("conv gw", gw.dtype, hashlib.sha256(gw.tobytes()).hexdigest())
+
+spec = build_model(ModelConfig(clip_len=8, input_size=(32, 32),
+                               width_multiplier=Fraction(1, 8)))
+clip = rng.normal(size=(8, 3, 8, 32, 32)).astype(np.float32)
+grads = model_backward(spec, init_params(spec, seed=0), clip,
+                       rng.normal(size=8))
+digest = hashlib.sha256()
+for name in sorted(grads):
+    digest.update(grads[name].tobytes())
+print("desk backward", len(grads), digest.hexdigest())
+"""
+
+
+def _run(script: str, threads: int) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(
                    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", FORWARD_DIGEST], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
 def test_eval_forward_bytes_equal_at_one_and_two_threads():
-    one, two = _run_forward(1), _run_forward(2)
+    one, two = _run(FORWARD_DIGEST, 1), _run(FORWARD_DIGEST, 2)
     assert one.count("float32") == 5
+    assert one == two
+
+
+def test_backward_bytes_equal_at_one_and_two_threads():
+    one, two = _run(BACKWARD_DIGEST, 1), _run(BACKWARD_DIGEST, 2)
+    assert one.count("conv g") == 2 and "desk backward 527" in one
     assert one == two

@@ -162,6 +162,13 @@ class TestConvBackward:
         report = _conv_case(5, spec, (2, 2, 7, 6, 5), probe_count=24)
         assert report.passed, report.summary()
 
+    def test_gradients_are_the_adjoints_on_hundred_cases(self):
+        rng = np.random.default_rng(17)
+        for i in range(100):
+            kind = {"temporal": True} if i % 2 else {"spatial": True}
+            spec, x, w = random_conv_case(rng, dtype=np.float64, **kind)
+            _check_adjoint(spec, x, w, rng)
+
     def test_skipping_input_grad_returns_none(self):
         rng = np.random.default_rng(3)
         spec = ConvLayerSpec(1, 1, (1, 1, 1))
@@ -186,6 +193,19 @@ FLOAT32_CASES = [
     (ConvLayerSpec(4, 3, (3, 1, 1), padding=(1, 0, 0)), (2, 4, 5, 3, 3)),
     (ConvLayerSpec(4, 3, (1, 3, 3), padding=(0, 1, 1)), (1, 4, 2, 6, 5)),
 ]
+
+
+def _check_adjoint(spec, x, w, rng):
+    """In float64, <conv(x, w), go> equals both <x, grad_x(go)> and
+    <w, grad_w(go)> to 1e-12 relative, since the bias-free conv is linear in
+    each: the gradients are the forward's adjoints, whichever way they are
+    computed."""
+    go = rng.normal(size=ops.conv_output_shape(x.shape, spec))
+    gx, gw, _ = ops.conv3d_backward(x, spec, w, go)
+    lhs = np.sum(ops.conv3d_forward(x, spec, w) * go)
+    for rhs in (np.sum(x * gx), np.sum(w * gw)):
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs)), (spec, lhs,
+                                                                   rhs)
 
 
 class TestFloat32Compute:
@@ -214,6 +234,12 @@ class TestFloat32Compute:
         for got, ref in zip((gx, gw, gb), want):
             np.testing.assert_allclose(got, ref, rtol=0,
                                        atol=1e-5 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("spec,x_shape", FLOAT32_CASES)
+    def test_gradients_are_the_adjoints_of_the_forward(self, spec, x_shape):
+        rng = np.random.default_rng(sum(x_shape) + 2)
+        _check_adjoint(spec, rng.normal(size=x_shape),
+                       rng.normal(size=spec.weight_shape), rng)
 
     def test_batchnorm_matches_float64(self):
         rng = np.random.default_rng(9)
@@ -286,12 +312,11 @@ class TestPooling:
         else:
             x = rng.normal(size=shape).astype(dtype)
         y = ops.maxpool3d(x)
-        idx = ops._pool_winner(x, y)
         g = rng.integers(-8, 9, size=y.shape).astype(dtype)
-        want_y, want_idx, want_gx = naive_maxpool3d(x, g)
+        want_y, _, want_gx = naive_maxpool3d(x, g)
         gx = ops.maxpool3d_backward(g, x, y)
         assert gx.dtype == dtype
-        for got, want in ((y, want_y), (idx, want_idx), (gx, want_gx)):
+        for got, want in ((y, want_y), (gx, want_gx)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -299,12 +324,15 @@ class TestPooling:
         x = np.arange(64, dtype=np.float32).reshape(1, 1, 4, 4, 4)
         x[0, 0, 1, 1, 1] = np.nan
         y = ops.maxpool3d(x)
-        idx = ops._pool_winner(x, y)
-        _, want_idx, _ = naive_maxpool3d(x, np.zeros_like(y))
-        # windows t, h, w in {-1, 0, 1} and {1, 2, 3} all hold (1, 1, 1)
+        g = np.arange(1, 9, dtype=np.float32).reshape(y.shape)
+        _, want_idx, want_gx = naive_maxpool3d(x, g)
+        gx = ops.maxpool3d_backward(g, x, y)
+        # windows t, h, w in {-1, 0, 1} and {1, 2, 3} all hold (1, 1, 1),
+        # which collects every output gradient
         assert np.isnan(y).all()
-        np.testing.assert_array_equal(idx, want_idx)
-        assert idx[0, 0, 0, 0, 0] == 26 and idx[0, 0, 1, 1, 1] == 0
+        assert want_idx[0, 0, 0, 0, 0] == 26 and want_idx[0, 0, 1, 1, 1] == 0
+        assert gx.tobytes() == want_gx.tobytes()
+        assert gx[0, 0, 1, 1, 1] == 36 and np.count_nonzero(gx) == 1
 
     def test_signed_zero_ties_keep_the_first_element(self):
         # The forward leans on np.maximum(later, earlier) returning its

@@ -13,6 +13,8 @@ from dmsn.training import (SCHEDULES, OptimizerState, TrainConfig,
                            predict_scores, save_history, sgd_step, train,
                            train_step)
 
+from helpers import reference_optimizer_step
+
 MICRO = ModelConfig(clip_len=8, input_size=(16, 16),
                     width_multiplier=Fraction(1, 8))
 
@@ -132,6 +134,58 @@ class TestOptimizers:
         state = init_optimizer("sgd", lr=0.1)
         with pytest.raises(ValueError, match="shape"):
             sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state)
+
+
+class TestChunkedOptimizer:
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_fifty_steps_match_per_entry_reference_bitwise(self, kind):
+        # The micro model's learnable entries (decayed weights, undecayed
+        # scale/shift), one of them float32, with per-entry gradient scales
+        # from 1e-6 to 1e3 and signed zeros in both gradients and params.
+        # Every tenth step updates only a random subset of entries, which
+        # changes the chunk layout.
+        step_fn = {"sgd": sgd_step, "adam": adam_step}[kind]
+        rng = np.random.default_rng(21)
+        params = {name: value
+                  for name, value in init_params(build_model(MICRO)).items()
+                  if not name.endswith((".mean", ".var"))}
+        names = list(params)
+        params[names[3]] = params[names[3]].astype(np.float32)
+        for name in names[:6]:
+            params[name].flat[:2] = -0.0
+        scales = dict(zip(names, 10.0 ** rng.uniform(-6, 3, len(names))))
+        state = init_optimizer(kind, 0.01, weight_decay=0.05)
+        ref_state = init_optimizer(kind, 0.01, weight_decay=0.05)
+        ours, ref = dict(params), dict(params)
+        for step in range(50):
+            picked = names
+            if step % 10 == 9:
+                picked = [n for n in names if rng.random() < 0.5]
+            grads = {name: rng.normal(scale=scales[name],
+                                      size=params[name].shape).astype(
+                                          params[name].dtype)
+                     for name in picked}
+            for name in picked[:6]:
+                grads[name].flat[:3] = -0.0
+            held = {name: value.tobytes() for name, value in ours.items()}
+            given = {name: value.tobytes() for name, value in grads.items()}
+            new = step_fn(ours, grads, state)
+            ref = reference_optimizer_step(ref, grads, ref_state)
+            assert {n: v.tobytes() for n, v in ours.items()} == held
+            assert {n: v.tobytes() for n, v in grads.items()} == given
+            ours = new
+            assert set(ours) == set(ref) and state.step_count == step + 1
+            for name in names:
+                assert ours[name].dtype == ref[name].dtype, name
+                assert ours[name].tobytes() == ref[name].tobytes(), (step,
+                                                                     name)
+            assert set(state.slots) == set(ref_state.slots)
+            for name, slot in ref_state.slots.items():
+                got = state.slots[name]
+                pairs = zip(got, slot) if kind == "adam" else [(got, slot)]
+                for a, b in pairs:
+                    assert a.shape == b.shape and a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes(), (step, name)
 
 
 class TestSchedules:
