@@ -6,13 +6,11 @@ parameter/FLOP cost model, optimizers and schedules for clip regression, and
 a synthetic-video pipeline for desk-scale runs.
 """
 
-from .blocks import (BlockSpec, block_backward, block_forward, build_block,
-                     spatial_receptive_field, temporal_receptive_field)
+from .blocks import BlockSpec, block_backward, block_forward, build_block
 from .complexity import CostReport, count_flops, count_params, emit_cost_table
-from .gradcheck import GradCheckReport, grad_check
+from .gradsuite import GradCheckReport, grad_check
 from .model import (ModelConfig, ModelSpec, build_model, init_params,
-                    load_checkpoint, model_backward, model_forward,
-                    reset_head, save_checkpoint)
+                    load_checkpoint, model_forward, save_checkpoint)
 from .ops import ConvLayerSpec, MacCounter
 from .pipeline import (ClipDataset, FoldPlan, SynthConfig, VideoRecord,
                        aggregate_video_score, bdi_severity_band, clip_label,
@@ -33,8 +31,7 @@ __all__ = [
     "clip_label", "count_flops", "count_params", "emit_cost_table",
     "grad_check", "init_params", "load_checkpoint", "load_manifest",
     "loso_splits", "lr_at", "mae_loss", "metric_mae", "metric_mse",
-    "metric_rmse", "model_backward", "model_forward", "mse_loss",
-    "quantize_pspi", "reset_head", "save_checkpoint", "save_manifest",
-    "segment_clips", "sgd_step", "spatial_receptive_field", "synth_generate",
-    "temporal_receptive_field", "train",
+    "metric_rmse", "model_forward", "mse_loss", "quantize_pspi",
+    "save_checkpoint", "save_manifest", "segment_clips", "sgd_step",
+    "synth_generate", "train",
 ]

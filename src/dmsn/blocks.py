@@ -65,10 +65,6 @@ class BlockSpec:
 
     __hash__ = hash_once
 
-    @property
-    def branch_widths(self) -> tuple[int, ...]:
-        return tuple(conv.out_channels for _, conv in self.branches)
-
 
 def main_kind(variant: str, position: int) -> str:
     """Domain of the Main Stage element at a 1-based position."""
@@ -195,13 +191,9 @@ def block_graph(spec: BlockSpec, prefix: str = "", x_shape=None) -> tuple:
 
 
 def unit_param_shapes(name: str, conv: ConvLayerSpec) -> dict[str, tuple]:
-    shapes = {f"{name}.w": conv.weight_shape}
-    if conv.has_bias:
-        shapes[f"{name}.b"] = (conv.out_channels,)
     c = (conv.out_channels,)
-    shapes.update({f"{name}.scale": c, f"{name}.shift": c,
-                   f"{name}.mean": c, f"{name}.var": c})
-    return shapes
+    return {f"{name}.w": conv.weight_shape, f"{name}.scale": c,
+            f"{name}.shift": c, f"{name}.mean": c, f"{name}.var": c}
 
 
 def block_param_shapes(spec: BlockSpec, prefix: str = "") -> dict[str, tuple]:
@@ -223,9 +215,8 @@ def unit_forward(name: str, conv: ConvLayerSpec, act: bool, params, x,
     """Conv, batchnorm and, when ``act``, a rectifier.  The rectifier runs in
     place on the unit's own buffer, and so does an eval batchnorm that no
     cache keeps the input of."""
-    w = _param(params, f"{name}.w")
-    b = _param(params, f"{name}.b") if conv.has_bias else None
-    y = conv3d_forward(x, conv, w, b, state.counter)
+    y = conv3d_forward(x, conv, _param(params, f"{name}.w"),
+                       counter=state.counter)
     bn = [_param(params, f"{name}.{key}")
           for key in ("scale", "shift", "mean", "var")]
     if state.mode == "eval" and state.cache is None:
@@ -251,11 +242,8 @@ def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
         bn_cache, _param(params, f"{name}.scale"), grad)
     grads_out[f"{name}.scale"] = gscale
     grads_out[f"{name}.shift"] = gshift
-    gx, gw, gb = conv3d_backward(x, conv, _param(params, f"{name}.w"), grad,
-                                 need_input_grad)
-    grads_out[f"{name}.w"] = gw
-    if conv.has_bias:
-        grads_out[f"{name}.b"] = gb
+    gx, grads_out[f"{name}.w"], _ = conv3d_backward(
+        x, conv, _param(params, f"{name}.w"), grad, need_input_grad)
     return gx
 
 
@@ -320,7 +308,8 @@ def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
     with a one-hot at its output center.  The nonzero support of the result
     is the branch's receptive field.
     """
-    _tap_convs(spec, tap)  # rejects a tap out of range
+    if not 1 <= tap <= spec.branch_count:
+        raise BlockConfigError(f"tap {tap} out of range 1..{spec.branch_count}")
     state = RunState(mode="eval", cache={})
     block_forward(spec, params, x, state)
     name = f"branch{tap}"
@@ -328,23 +317,6 @@ def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
     grad = np.zeros_like(out)
     grad[:, :, out.shape[2] // 2, out.shape[3] // 2, out.shape[4] // 2] = 1.0
     return _walk_back(block_graph(spec), params, state.cache, name, grad)[0]
-
-
-def _tap_convs(spec: BlockSpec, tap: int) -> tuple[ConvLayerSpec, ...]:
-    """The convs from the block input to the output of branch ``tap``."""
-    if not 1 <= tap <= spec.branch_count:
-        raise BlockConfigError(f"tap {tap} out of range 1..{spec.branch_count}")
-    return (spec.reduce, *spec.main_stage[:tap], spec.branches[tap - 1][1])
-
-
-def temporal_receptive_field(spec: BlockSpec, tap: int) -> int:
-    """Frames of input influencing one output element of branch ``tap``."""
-    return 1 + sum(conv.kernel[0] - 1 for conv in _tap_convs(spec, tap))
-
-
-def spatial_receptive_field(spec: BlockSpec, tap: int) -> int:
-    """Pixels (per spatial axis) influencing one output element of branch ``tap``."""
-    return 1 + sum(conv.kernel[1] - 1 for conv in _tap_convs(spec, tap))
 
 
 def describe_block(spec: BlockSpec, prefix: str = "") -> list[str]:

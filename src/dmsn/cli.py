@@ -178,6 +178,9 @@ def _read_config(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
+                if key == "config":
+                    raise UsageError(f"{path}:{lineno}: config key 'config' "
+                                     f"cannot name another config file")
                 if key in values:
                     raise UsageError(f"{path}:{lineno}: config key {key!r} "
                                      f"given twice")

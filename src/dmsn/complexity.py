@@ -2,8 +2,8 @@
 
 Headline FLOPs count convolution and linear multiply-accumulates only; the
 ``mac1`` convention reports one FLOP per MAC and ``mac2`` doubles it.  Pooling,
-normalization, and rectification are not counted.  Normalization scale/shift weights count as parameters; running stats
-are reported apart from the headline total.
+normalization, and rectification are not counted.  Normalization scale/shift
+weights count as parameters.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class CostRow:
     kind: str
     out_extents: tuple | None   # (c, t, h, w) or None for geometry-free rows
     params: int = 0
-    stats_params: int = 0
     macs: int = 0
 
 
@@ -41,10 +40,6 @@ class CostReport:
         return sum(r.params for r in self.rows)
 
     @property
-    def total_stats_params(self) -> int:
-        return sum(r.stats_params for r in self.rows)
-
-    @property
     def total_macs(self) -> int:
         return sum(r.macs for r in self.rows)
 
@@ -56,8 +51,7 @@ class CostReport:
 def _unit_row(name: str, conv: ConvLayerSpec, out_shape=None) -> CostRow:
     """Cost row for one conv+bn(+relu) unit with the given output shape."""
     row = CostRow(name, "conv", None,
-                  params=conv.param_count() + 2 * conv.out_channels,
-                  stats_params=2 * conv.out_channels)
+                  params=conv.weight_count + 2 * conv.out_channels)
     if out_shape is not None:
         n, c, t, h, w = out_shape
         row.out_extents = (c, t, h, w)
@@ -74,8 +68,7 @@ def count_params(spec) -> CostReport:
     elif isinstance(spec, ModelSpec):
         report = CostReport(label=spec.config.model_kind)
         # the count_flops rows that hold parameters, without their geometry
-        report.rows = [CostRow(row.layer_id, row.kind, None, row.params,
-                               row.stats_params)
+        report.rows = [CostRow(row.layer_id, row.kind, None, row.params)
                        for row in count_flops(spec).rows if row.params]
     else:
         raise TypeError(f"count_params expects a ModelSpec or BlockSpec, "

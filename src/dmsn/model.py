@@ -165,37 +165,25 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple]:
     return shapes
 
 
-def _draw(rng: np.random.Generator, name: str, shape: tuple,
-          dtype) -> np.ndarray:
+def _draw(rng: np.random.Generator, name: str, shape: tuple) -> np.ndarray:
     if name.endswith(".w"):
         fan_in = int(np.prod(shape[1:]))
-        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
     if name.endswith((".scale", ".var")):
-        return np.ones(shape, dtype=dtype)
-    return np.zeros(shape, dtype=dtype)  # .shift, .mean, .b
+        return np.ones(shape)
+    return np.zeros(shape)  # .shift, .mean, .b
 
 
 def init_bundle(shapes: dict[str, tuple], seed: int) -> dict[str, np.ndarray]:
     """Draw a float64 bundle for any declared shape map (model or block)."""
     rng = np.random.default_rng(seed)
-    return {name: _draw(rng, name, shape, np.float64)
-            for name, shape in shapes.items()}
+    return {name: _draw(rng, name, shape) for name, shape in shapes.items()}
 
 
 def init_params(spec: ModelSpec, seed: int | None = None) -> dict[str, np.ndarray]:
     """Float64 fan-in-scaled normal conv/linear weights, identity BN."""
     return init_bundle(param_shapes(spec),
                        spec.config.seed if seed is None else seed)
-
-
-def reset_head(params: dict, spec: ModelSpec, seed: int) -> dict:
-    """Fresh regression layer; every other entry is carried over untouched."""
-    rng = np.random.default_rng(seed)
-    out = dict(params)
-    dtype = params["head.fc.w"].dtype
-    out["head.fc.w"] = _draw(rng, "head.fc.w", (1, spec.head_channels), dtype)
-    out["head.fc.b"] = np.zeros((1,), dtype=dtype)
-    return out
 
 
 def forward_with_state(spec: ModelSpec, params: dict, clip: np.ndarray,
@@ -254,14 +242,6 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
             unit_backward(name, layer, True, params, cache, g, grads,
                           need_input_grad=False)
     return grads
-
-
-def model_backward(spec: ModelSpec, params: dict, clip: np.ndarray,
-                   grad_scores: np.ndarray) -> dict[str, np.ndarray]:
-    """Train-mode gradients of ``scores . grad_scores`` per learnable entry."""
-    state = RunState(mode="train", cache={})
-    forward_with_state(spec, params, clip, state)
-    return backward_from_cache(spec, params, state.cache, grad_scores)
 
 
 # -- checkpoint container ----------------------------------------------------
@@ -394,13 +374,3 @@ def _utf8(raw: bytes, what: str) -> str:
     except UnicodeDecodeError:
         raise CheckpointError(f"checkpoint {what} is not UTF-8") from None
 
-
-def stage_extents(spec: ModelSpec):
-    """(layer id, channels, (t, h, w)) for the stem, pool, stages, and head."""
-    plan = model_plan(spec)
-    shapes = {"input": plan[0][3]}
-    for name, _, _, _, out_shape in plan[:-1]:
-        # a stage's row holds its last block's output
-        shapes[name.split(".")[0]] = out_shape
-    rows = [(name, c, (t, h, w)) for name, (_, c, t, h, w) in shapes.items()]
-    return rows + [("head", 1, None)]

@@ -66,7 +66,6 @@ class ConvLayerSpec:
     kernel: tuple[int, int, int]
     stride: tuple[int, int, int] = (1, 1, 1)
     padding: tuple[int, int, int] = (0, 0, 0)
-    has_bias: bool = False
 
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
@@ -95,9 +94,6 @@ class ConvLayerSpec:
     def weight_count(self) -> int:
         kt, kh, kw = self.kernel
         return self.out_channels * self.in_channels * kt * kh * kw
-
-    def param_count(self) -> int:
-        return self.weight_count + (self.out_channels if self.has_bias else 0)
 
 
 class MacCounter:

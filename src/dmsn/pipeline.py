@@ -224,7 +224,7 @@ class SynthConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got "
                                  f"{getattr(self, name)}")
-        for name in ("label_min", "label_max"):
+        for name in ("label_min", "label_max", "step_per_unit"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got "
                                  f"{getattr(self, name)}")
@@ -287,32 +287,6 @@ def mean_frame_displacement(clip: np.ndarray) -> float:
 def format_synth_config(cfg: SynthConfig) -> str:
     """key=value text form of a generator configuration."""
     return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
-
-
-def parse_synth_config(text: str) -> SynthConfig:
-    """Read :func:`format_synth_config` text; a bad line is a ``ValueError``
-    that names it."""
-    # the annotations are strings under ``from __future__ import annotations``
-    kinds = {f.name: {"int": int, "float": float}[f.type]
-             for f in fields(SynthConfig)}
-    kwargs = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"synth config line {lineno} is not key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in kinds:
-            raise ValueError(f"synth config line {lineno}: unknown key {key!r}")
-        if key in kwargs:
-            raise ValueError(f"synth config line {lineno}: key {key!r} "
-                             f"given twice")
-        try:
-            kwargs[key] = kinds[key](value)
-        except ValueError:
-            raise ValueError(f"synth config line {lineno}: {key} has a bad "
-                             f"value {value!r}") from None
-    return SynthConfig(**kwargs)
 
 
 # -- manifest ------------------------------------------------------------------

@@ -43,6 +43,9 @@ LOSSES = {"mse": mse_loss, "mae": mae_loss}
 
 # entries never touched by weight decay
 _NO_DECAY_SUFFIXES = (".scale", ".shift")
+# Adam's moment decay rates and denominator floor
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 # The optimizer updates whole entries in chunks of about this many elements:
 # one model-sized flat copy would raise the training step's peak memory.
 _UPDATE_CHUNK = 1 << 16
@@ -60,8 +63,6 @@ class OptimizerState:
     lr: float
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     step_count: int = 0
     slots: dict[str, object] = field(default_factory=dict)
     # chunk layout -> that chunk's buffers, which ``slots`` holds views of
@@ -180,7 +181,7 @@ def adam_step(params: dict, grads: dict, state: OptimizerState) -> dict:
     Per element: ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     step ``(lr*m_hat) / (sqrt(v_hat) + eps)``.
     """
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     t = state.step_count + 1
 
     def update(g, buffers):
@@ -195,7 +196,7 @@ def adam_step(params: dict, grads: dict, state: OptimizerState) -> dict:
         step *= state.lr
         den = np.divide(v, 1 - b2 ** t, out=g2)
         np.sqrt(den, out=den)
-        den += state.eps
+        den += ADAM_EPS
         step /= den
         return step
 
@@ -259,9 +260,6 @@ class TrainHistory:
     seed: int
     config: TrainConfig
     steps: list[tuple[int, int, float, float]] = field(default_factory=list)
-
-    def losses(self) -> list[float]:
-        return [s[3] for s in self.steps]
 
 
 def history_lines(history: TrainHistory) -> list[str]:

@@ -5,7 +5,7 @@ import numpy as np
 from dmsn.blocks import RunState, unit_backward, unit_forward
 from dmsn.ops import (POOL_GEOMETRY, ConvLayerSpec, conv_output_shape,
                       window_output_shape)
-from dmsn.training import _NO_DECAY_SUFFIXES
+from dmsn.training import ADAM_BETAS, ADAM_EPS, _NO_DECAY_SUFFIXES
 
 
 def naive_conv3d(x, spec: ConvLayerSpec, weights, bias=None):
@@ -117,7 +117,7 @@ def reference_optimizer_step(params, grads, state):
     ``state.slots`` gets each entry's float64 slot (``v`` for SGD, ``(m, v)``
     for Adam), None before its first step.
     """
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     t = state.step_count + 1
 
     def sgd(g, v):
@@ -130,7 +130,7 @@ def reference_optimizer_step(params, grads, state):
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        return state.lr * m_hat / (np.sqrt(v_hat) + state.eps), (m, v)
+        return state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), (m, v)
 
     update = {"sgd": sgd, "adam": adam}[state.kind]
     out = dict(params)

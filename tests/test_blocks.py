@@ -7,8 +7,7 @@ from dmsn import ops
 from dmsn.blocks import (BlockConfigError, ParamLookupError, RunState,
                          block_backward, block_forward, block_param_shapes,
                          branch_input_gradient, build_block, describe_block,
-                         main_kind, branch_kind, spatial_receptive_field,
-                         temporal_receptive_field)
+                         main_kind, branch_kind)
 from dmsn.model import init_bundle
 
 from helpers import branch_chain_gradient
@@ -57,8 +56,9 @@ class TestBuildRules:
 
     def test_concat_width_equals_mid_even_when_indivisible(self):
         block = build_block("A", 128, 128, 1, branch_count=3)
-        assert sum(block.branch_widths) == block.mid_channels
-        assert block.branch_widths == (22, 21, 21)
+        widths = tuple(c.out_channels for _, c in block.branches)
+        assert sum(widths) == block.mid_channels
+        assert widths == (22, 21, 21)
 
     def test_identity_shortcut_rule(self):
         assert build_block("A", 128, 128, 1).shortcut is None
@@ -201,31 +201,18 @@ class TestForward:
             assert grad.shape == params[name].shape
 
 
+def support(grad, axis):
+    """Indices along ``axis`` at which ``grad`` has a nonzero entry."""
+    others = tuple(a for a in range(grad.ndim) if a != axis)
+    return np.flatnonzero(np.abs(grad).max(axis=others) > 0)
+
+
 class TestReceptiveFields:
-    def test_variant_a_analytic(self):
-        block = build_block("A", 8, 16, 1)
-        assert [temporal_receptive_field(block, j) for j in (1, 2, 3, 4)] == \
-            [3, 5, 7, 9]
-        assert [spatial_receptive_field(block, j) for j in (1, 2, 3, 4)] == \
-            [3, 3, 3, 3]
-
-    def test_variant_c_analytic(self):
-        block = build_block("C", 8, 16, 1)
-        assert [spatial_receptive_field(block, j) for j in (1, 2, 3, 4)] == \
-            [3, 5, 7, 9]
-        assert [temporal_receptive_field(block, j) for j in (1, 2, 3, 4)] == \
-            [3, 3, 3, 3]
-
-    def test_variant_b_alternating_growth(self):
-        block = build_block("B", 8, 16, 1)
-        got = [(temporal_receptive_field(block, j),
-                spatial_receptive_field(block, j)) for j in (1, 2, 3, 4)]
-        assert got == [(3, 3), (3, 5), (5, 5), (5, 7)]
-
     def test_tap_out_of_range(self):
         block = build_block("A", 8, 16, 1)
-        with pytest.raises(BlockConfigError, match="tap"):
-            temporal_receptive_field(block, 5)
+        x = np.ones((1, 8, 4, 4, 4))
+        with pytest.raises(BlockConfigError, match="tap 5"):
+            branch_input_gradient(block, block_params(block), x, 5)
 
     def test_kind_helpers_cover_all_variants(self):
         assert [main_kind("B", i) for i in (1, 2, 3, 4)] == ["s", "t", "s", "t"]
@@ -243,11 +230,10 @@ class TestReceptiveFields:
         rng = np.random.default_rng(12)
         x = rng.uniform(0.5, 1.5, size=(1, 8, 16, 9, 9))
         grad = branch_input_gradient(block, params, x, tap)
-        frames = np.where(np.abs(grad).max(axis=(0, 1, 3, 4)) > 0)[0]
+        frames = support(grad, 2)
         assert len(frames) == 2 * tap + 1
         assert frames.max() - frames.min() == 2 * tap
-        cols = np.where(np.abs(grad).max(axis=(0, 1, 2, 3)) > 0)[0]
-        assert len(cols) == 3
+        assert len(support(grad, 4)) == 3
 
     @pytest.mark.parametrize("tap", [1, 2, 3, 4])
     def test_impulse_support_variant_c(self, tap):
@@ -256,11 +242,20 @@ class TestReceptiveFields:
         rng = np.random.default_rng(14)
         x = rng.uniform(0.5, 1.5, size=(1, 8, 9, 16, 16))
         grad = branch_input_gradient(block, params, x, tap)
-        rows = np.where(np.abs(grad).max(axis=(0, 1, 2, 4)) > 0)[0]
-        cols = np.where(np.abs(grad).max(axis=(0, 1, 2, 3)) > 0)[0]
-        frames = np.where(np.abs(grad).max(axis=(0, 1, 3, 4)) > 0)[0]
-        assert len(rows) == 2 * tap + 1 and len(cols) == 2 * tap + 1
-        assert len(frames) == 3
+        assert len(support(grad, 3)) == len(support(grad, 4)) == 2 * tap + 1
+        assert len(support(grad, 2)) == 3
+
+    @pytest.mark.parametrize("tap, frames, rows", [
+        (1, 3, 3), (2, 3, 5), (3, 5, 5), (4, 5, 7)])
+    def test_impulse_support_variant_b(self, tap, frames, rows):
+        # the Main Stage alternates spatial and temporal, so the two fields
+        # grow in turn
+        block = build_block("B", 8, 16, 1)
+        params = block_params(block, seed=17, positive=True)
+        x = np.random.default_rng(18).uniform(0.5, 1.5, size=(1, 8, 12, 12, 12))
+        grad = branch_input_gradient(block, params, x, tap)
+        assert len(support(grad, 2)) == frames
+        assert len(support(grad, 3)) == len(support(grad, 4)) == rows
 
 
 @pytest.mark.parametrize("variant", ["A", "B", "C"])

@@ -192,6 +192,16 @@ class TestConfigOverlay:
         code, _, err = run(capsys, "describe", "--config", str(cfg))
         assert code == 2 and "run.cfg:3" in err and "'frames'" in err
 
+    def test_config_key_naming_a_config_file_is_usage_error(self, tmp_path,
+                                                            capsys):
+        other = tmp_path / "other.cfg"
+        other.write_text("frames=8\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model=dmsn-a\nconfig={other}\n")
+        code, out, err = run(capsys, "describe", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "run.cfg:2" in err and "'config'" in err
+
     def test_missing_config_file_fails(self, capsys):
         code, _, err = run(capsys, "describe", "--config", "/nonexistent.cfg")
         assert code == 1 and "config" in err
@@ -257,7 +267,8 @@ class TestSynthTrainEval:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--label-min", "nan", "label_min"),
-        ("--label-max", "inf", "label_max")])
+        ("--label-max", "inf", "label_max"),
+        ("--speed", "nan", "step_per_unit")])
     def test_synth_rejects_non_finite_label_bound(self, tmp_path, capsys, flag,
                                                   value, field):
         out = tmp_path / "data"

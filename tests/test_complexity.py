@@ -22,7 +22,6 @@ class TestCountParams:
         rows = {r.layer_id: r for r in report.rows}
         # reduce conv 64->64 pointwise: 4096 weights + 128 norm params
         assert rows["reduce"].params == 64 * 64 + 2 * 64
-        assert rows["reduce"].stats_params == 2 * 64
 
     def test_stem_conv_weight_count(self):
         spec = build_model(ModelConfig())
@@ -55,7 +54,6 @@ class TestCountParams:
                            if name.endswith(".w") and name != "head.fc.w")
         norm_total = sum(size for name, size in sizes.items()
                          if name.endswith((".scale", ".shift")))
-        assert report.total_stats_params == norm_total
         assert report.total_params == weight_total + norm_total \
             + spec.head_channels + 1
 

@@ -69,7 +69,9 @@ BACKWARD_DIGEST = """
 import hashlib
 from fractions import Fraction
 import numpy as np
-from dmsn.model import ModelConfig, build_model, init_params, model_backward
+from dmsn.blocks import RunState
+from dmsn.model import (ModelConfig, backward_from_cache, build_model,
+                        forward_with_state, init_params)
 from dmsn.ops import ConvLayerSpec, conv3d_backward
 
 rng = np.random.default_rng(5)
@@ -83,8 +85,10 @@ print("conv gw", gw.dtype, hashlib.sha256(gw.tobytes()).hexdigest())
 spec = build_model(ModelConfig(clip_len=8, input_size=(32, 32),
                                width_multiplier=Fraction(1, 8)))
 clip = rng.normal(size=(8, 3, 8, 32, 32)).astype(np.float32)
-grads = model_backward(spec, init_params(spec, seed=0), clip,
-                       rng.normal(size=8))
+params = init_params(spec, seed=0)
+state = RunState(mode="train", cache={})
+forward_with_state(spec, params, clip, state)
+grads = backward_from_cache(spec, params, state.cache, rng.normal(size=8))
 digest = hashlib.sha256()
 for name in sorted(grads):
     digest.update(grads[name].tobytes())

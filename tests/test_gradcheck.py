@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmsn import gradsuite
-from dmsn.gradcheck import grad_check, relative_error
+from dmsn.gradsuite import grad_check, relative_error
 
 
 def quadratic_case():
@@ -54,8 +54,14 @@ def test_float32_params_rejected():
         grad_check(lambda p: fn(p)[0], params32, analytic_grads=grads)
 
 
-def test_linear_layer_suite_passes():
-    report = gradsuite.check_linear(seed=0)
+@pytest.fixture(scope="module")
+def clean_suites():
+    return gradsuite.run_gradient_suites(seed=0)
+
+
+def test_linear_layer_suite_passes(clean_suites):
+    name, report = clean_suites[0]
+    assert name == "layer linear"
     assert report.passed and report.max_rel_error < 1e-6
 
 
@@ -71,8 +77,8 @@ def test_injected_bug_is_detected():
     assert not results[0][1].passed
 
 
-def test_injected_bug_fails_only_the_linear_weight():
-    clean = gradsuite.run_gradient_suites(seed=0)
+def test_injected_bug_fails_only_the_linear_weight(clean_suites):
+    clean = clean_suites
     buggy = gradsuite.run_gradient_suites(seed=0, inject_bug=True)
     assert [name for name, _ in buggy] == [name for name, _ in clean]
     assert len(buggy) == 12

@@ -1,6 +1,8 @@
-"""Every name a library module imports is read in that module.
+"""Every name a library module imports is read in that module, and every
+public function, method and property a library module defines is read by
+some library module.
 
-No linter ships with the project, so this scan is the unused-import check.
+No linter ships with the project, so these scans are its unused-code checks.
 ``__init__.py`` re-exports names on purpose and is left out.
 """
 
@@ -13,6 +15,21 @@ import dmsn
 
 MODULES = sorted(p for p in pathlib.Path(dmsn.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+
+# Public definitions no library module reads, each with the reader it is kept
+# for.
+KEPT_WITHOUT_CALLER = (
+    ("complexity.count_params", "acceptance test A1 sums parameters with it"),
+    ("blocks.branch_input_gradient",
+     "acceptance test A7 measures receptive fields with it"),
+    ("pipeline.ClipDataset.subset",
+     "acceptance test A8 splits train and held-out subjects with it"),
+    ("pipeline.loso_splits", "acceptance test A9 checks the folds with it"),
+    ("pipeline.bdi_severity_band",
+     "acceptance test A9 checks the bands with it"),
+    ("pipeline.mean_frame_displacement",
+     "the planned learning check's motion baseline reads it"),
+)
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -30,6 +47,27 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in read]
 
 
+def _unread_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.function`` and ``module.Class.method`` for every public
+    definition whose name no module reads as a name or an attribute."""
+    defined, read = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{sub.name}", sub.name)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(qualified for qualified, name in defined
+                  if not name.startswith("_") and name not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -39,3 +77,21 @@ def test_every_import_is_read(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\nprint(b)\n")
     assert _unused_imports(tree) == ["line 2: d", "line 1: os"]
+
+
+def test_every_public_definition_is_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"),
+                                  filename=str(path)) for path in MODULES}
+    assert _unread_definitions(trees) == \
+        sorted(name for name, _ in KEPT_WITHOUT_CALLER)
+
+
+def test_the_scan_sees_an_unread_definition():
+    source = ("def used():\n    pass\n"
+              "def unused():\n    used()\n"
+              "class K:\n"
+              "    def method(self):\n        pass\n"
+              "    @property\n    def prop(self):\n        return self.method()\n"
+              "    def _private(self):\n        pass\n")
+    assert _unread_definitions({"m": ast.parse(source)}) == \
+        ["m.K.prop", "m.unused"]

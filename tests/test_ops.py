@@ -36,7 +36,7 @@ class TestConvForward:
 
     def test_bias_broadcasts_per_channel(self):
         rng = np.random.default_rng(1)
-        spec = ConvLayerSpec(1, 2, (1, 1, 1), has_bias=True)
+        spec = ConvLayerSpec(1, 2, (1, 1, 1))
         x = rng.normal(size=(1, 1, 2, 2, 2))
         w = rng.normal(size=spec.weight_shape)
         b = np.array([1.0, -2.0])
@@ -127,7 +127,7 @@ class TestConvBackward:
 
     def test_bias_gradient_sums_non_channel_axes(self):
         rng = np.random.default_rng(1)
-        spec = ConvLayerSpec(2, 3, (3, 1, 1), padding=(1, 0, 0), has_bias=True)
+        spec = ConvLayerSpec(2, 3, (3, 1, 1), padding=(1, 0, 0))
         x = rng.normal(size=(2, 2, 4, 3, 3))
         w = rng.normal(size=spec.weight_shape)
         go = rng.normal(size=(2, 3, 4, 3, 3))
@@ -157,9 +157,8 @@ class TestConvBackward:
             assert abs(fd - grad[pick]) / max(abs(fd), 1e-12) < 1e-6
 
     def test_temporal_stride_matches_finite_differences(self):
-        spec = ConvLayerSpec(2, 3, (3, 3, 2), (2, 2, 1), (1, 1, 0),
-                             has_bias=True)
-        report = _conv_case(5, spec, (2, 2, 7, 6, 5), probe_count=24)
+        spec = ConvLayerSpec(2, 3, (3, 3, 2), (2, 2, 1), (1, 1, 0))
+        report = _conv_case(5, spec, (2, 2, 7, 6, 5), True, probe_count=24)
         assert report.passed, report.summary()
 
     def test_gradients_are_the_adjoints_on_hundred_cases(self):

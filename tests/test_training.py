@@ -247,7 +247,7 @@ class TestTrainLoop:
         config = TrainConfig(optimizer="adam", schedule="pain", epochs=10,
                              batch_size=8, seed=5)
         _, history = train(MICRO, ds, config)
-        losses = history.losses()
+        losses = [s[3] for s in history.steps]
         assert np.mean(losses[-4:]) < np.mean(losses[:4])
 
     def test_reproducible_history(self):
