@@ -57,9 +57,7 @@ def _str_list(text: str) -> list[str]:
     return parts
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
+def _bool(text: str) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
     if text.lower() in ("0", "false", "no", "off"):

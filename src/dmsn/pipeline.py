@@ -228,20 +228,30 @@ class SynthConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got "
                                  f"{getattr(self, name)}")
+        if self.label_min < 0:
+            raise ValueError(f"label_min must be >= 0 (the motion encodes "
+                             f"a label's magnitude only), got {self.label_min}")
         if self.label_max < self.label_min:
             raise ValueError("label_max must be >= label_min")
-        if not math.isfinite(self.label_max - self.label_min):
-            raise ValueError(f"label_max - label_min must be finite, got "
-                             f"{self.label_max} - {self.label_min}")
+        diameter = 2.0 * _synth_radius(self)
+        if abs(self.step_per_unit) * self.label_max > diameter:
+            raise ValueError(f"step_per_unit * label_max must be at most the "
+                             f"circle's diameter {diameter:g} px, got "
+                             f"{self.step_per_unit} * {self.label_max}")
+
+
+def _synth_radius(cfg: SynthConfig) -> float:
+    """Radius in pixels of the circle a synthetic bump travels on."""
+    return max(4.0, min(cfg.height, cfg.width) / 5.0)
 
 
 def _synth_video(cfg: SynthConfig, rng: np.random.Generator, subject: str,
                  video: str) -> VideoRecord:
     label = float(rng.uniform(cfg.label_min, cfg.label_max))
-    radius = max(4.0, min(cfg.height, cfg.width) / 5.0)
+    radius = _synth_radius(cfg)
     step = cfg.step_per_unit * label
     # chord of `step` pixels per frame along a circle of this radius
-    dtheta = 2.0 * np.arcsin(min(1.0, step / (2.0 * radius)))
+    dtheta = 2.0 * np.arcsin(step / (2.0 * radius))
     theta0 = rng.uniform(0, 2 * np.pi)
     cy = cfg.height / 2.0 + rng.uniform(-1.0, 1.0)
     cx = cfg.width / 2.0 + rng.uniform(-1.0, 1.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +47,10 @@ _NO_DECAY_SUFFIXES = (".scale", ".shift")
 # Adam's moment decay rates and denominator floor
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# SGD's velocity decay, and the L2 weight decay both optimizers add to the
+# gradient of every entry but ``.scale``/``.shift``
+SGD_MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
 # The optimizer updates whole entries in chunks of about this many elements:
 # one model-sized flat copy would raise the training step's peak memory.
 _UPDATE_CHUNK = 1 << 16
@@ -53,43 +58,21 @@ _UPDATE_CHUNK = 1 << 16
 
 @dataclass
 class OptimizerState:
-    """Per-parameter auxiliary buffers plus hyperparameters for one optimizer.
-
-    ``slots`` maps each entry to its optimizer buffers, as views into one
-    float64 buffer per chunk of entries, which each step updates in place.
-    """
+    """One optimizer's per-entry float64 ``slots``: views into one buffer
+    per chunk of entries, which each step updates in place."""
 
     kind: str                      # "sgd" | "adam"
     lr: float
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     step_count: int = 0
     slots: dict[str, object] = field(default_factory=dict)
-    # chunk layout -> that chunk's buffers, which ``slots`` holds views of
-    _buffers: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    # (entries, decayed, slot buffers) per chunk, laid out on the first step
+    _chunks: list | None = field(default=None, init=False, repr=False)
 
 
-def init_optimizer(kind: str, lr: float, **hyper) -> OptimizerState:
+def init_optimizer(kind: str, lr: float) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
-    return OptimizerState(kind=kind, lr=lr, **hyper)
-
-
-def _chunks(params: dict, grads: dict) -> list[list[tuple]]:
-    """Whole entries of ``grads``, in order, as ``(name, shape)`` lists of
-    about ``_UPDATE_CHUNK`` elements each; checks every shape first."""
-    chunks, size = [], 0
-    for name, grad in grads.items():
-        if grad.shape != params[name].shape:
-            raise ValueError(f"{name}: grad shape {grad.shape} != param shape "
-                             f"{params[name].shape}")
-        if not chunks or size + grad.size > _UPDATE_CHUNK:
-            chunks.append([])
-            size = 0
-        chunks[-1].append((name, grad.shape))
-        size += grad.size
-    return chunks
+    return OptimizerState(kind=kind, lr=lr)
 
 
 def _views(flat: np.ndarray, chunk) -> list[np.ndarray]:
@@ -102,32 +85,45 @@ def _views(flat: np.ndarray, chunk) -> list[np.ndarray]:
     return views
 
 
-def _slot_buffers(state: OptimizerState, chunk, fills) -> list[np.ndarray]:
-    """The chunk's float64 slot buffers, one per value in ``fills``.
+def _layout(state: OptimizerState, params: dict, grads: dict,
+            fills) -> list[tuple]:
+    """The state's ``(entries, decayed, buffers)`` chunks; checks grads.
 
-    On a chunk layout's first step they are assembled from the entries'
-    slots, ``fills`` where an entry has none, and ``state.slots`` then
-    holds views of them.
+    The first step lays out whole ``(name, shape)`` entries in chunks of
+    about ``_UPDATE_CHUNK`` elements, decayed and undecayed ones apart, each
+    in ``grads`` order, with one float64 slot buffer per value in ``fills``
+    (``state.slots`` holds views); later steps must give the same entries.
     """
-    key = tuple(chunk)
-    if key not in state._buffers:
-        # drop the buffers whose views the chunk's slots stop being
-        names = {name for name, _ in chunk}
-        for other in [k for k in state._buffers
-                      if any(name in names for name, _ in k)]:
-            del state._buffers[other]
-        old = [state.slots.get(name) for name, _ in chunk]
-        if len(fills) == 1:
-            old = [slot if slot is None else (slot,) for slot in old]
-        buffers = [np.concatenate(
-            [(np.full(shape, fill) if slot is None else slot[i]).ravel()
-             for (_, shape), slot in zip(chunk, old)], dtype=np.float64)
-            for i, fill in enumerate(fills)]
+    for name, grad in grads.items():
+        if grad.shape != params[name].shape:
+            raise ValueError(f"{name}: grad shape {grad.shape} != param shape "
+                             f"{params[name].shape}")
+    if state._chunks is not None:
+        laid = {name: shape for entries, _, _ in state._chunks
+                for name, shape in entries}
+        odd = {n: g.shape for n, g in grads.items()}.items() ^ laid.items()
+        if odd:
+            raise ValueError(f"grads and the first step's differ in (entry, "
+                             f"shape) {sorted(odd)}")
+        return state._chunks
+    state._chunks = []
+    for decayed in (True, False):
+        entries, size = None, 0
+        for name, grad in grads.items():
+            if name.endswith(_NO_DECAY_SUFFIXES) == decayed:
+                continue
+            if entries is None or size + grad.size > _UPDATE_CHUNK:
+                entries, size = [], 0
+                state._chunks.append((entries, decayed, []))
+            entries.append((name, grad.shape))
+            size += grad.size
+    for entries, _, buffers in state._chunks:
+        size = sum(math.prod(shape) for _, shape in entries)
+        buffers.extend(np.full(size, fill) for fill in fills)
         for (name, _), views in zip(
-                chunk, zip(*(_views(b, chunk) for b in buffers))):
+                entries, zip(*(_views(b, entries) for b in buffers))):
             state.slots[name] = views if len(views) > 1 else views[0]
-        state._buffers[key] = buffers
-    return state._buffers[key]
+    return state._chunks
 
 
 def _apply_update(params: dict, grads: dict, state: OptimizerState,
@@ -135,40 +131,35 @@ def _apply_update(params: dict, grads: dict, state: OptimizerState,
     """The chunked driver of both optimizers; returns new params.
 
     Per chunk, ``update(g, buffers)`` gets the chunk's float64 gradients,
-    decayed except on ``.scale``/``.shift``, and its slot buffers (see
-    :func:`_slot_buffers`), updates the buffers in place and returns the
-    step; each entry becomes ``theta - step`` in its dtype, a view of one
-    fresh buffer per chunk.  The caller's params and grads are not written.
+    decayed if the chunk is, and its slot buffers (see :func:`_layout`),
+    updates the buffers in place and returns the step; each entry becomes
+    ``theta - step`` in its dtype, a view of one fresh buffer per chunk, and
+    the caller's params and grads are not written.
     """
     out = dict(params)
-    for chunk in _chunks(params, grads):
-        g = np.concatenate([grads[name].ravel() for name, _ in chunk],
+    for entries, decayed, buffers in _layout(state, params, grads, fills):
+        g = np.concatenate([grads[name].ravel() for name, _ in entries],
                            dtype=np.float64)
-        theta = np.concatenate([params[name].ravel() for name, _ in chunk],
+        theta = np.concatenate([params[name].ravel() for name, _ in entries],
                                dtype=np.float64)
-        if state.weight_decay:
-            # g + wd*theta where decayed; elsewhere g is left as it is, since
-            # adding a masked 0.0 would turn a -0.0 gradient into +0.0
-            decay = np.repeat(
-                [not name.endswith(_NO_DECAY_SUFFIXES) for name, _ in chunk],
-                [math.prod(shape) for _, shape in chunk])
-            np.add(g, state.weight_decay * theta, out=g, where=decay)
-        theta -= update(g, _slot_buffers(state, chunk, fills))
-        for (name, _), view in zip(chunk, _views(theta, chunk)):
+        if decayed:
+            g += WEIGHT_DECAY * theta
+        theta -= update(g, buffers)
+        for (name, _), view in zip(entries, _views(theta, entries)):
             out[name] = view.astype(params[name].dtype, copy=False)
     state.step_count += 1
     return out
 
 
 def sgd_step(params: dict, grads: dict, state: OptimizerState) -> dict:
-    """v <- momentum*v + g + wd*theta; theta <- theta - lr*v. Returns new params.
+    """v <- SGD_MOMENTUM*v + g; theta <- theta - lr*v. Returns new params.
 
-    A new slot starts at -0.0, which adds to ``momentum*v + g`` as nothing,
-    so a first step gives ``v = g`` bit for bit.
+    A new slot starts at -0.0, which adds to ``SGD_MOMENTUM*v + g`` as
+    nothing, so a first step gives ``v = g`` bit for bit.
     """
     def update(g, buffers):
         (v,) = buffers
-        v *= state.momentum
+        v *= SGD_MOMENTUM
         v += g
         return np.multiply(v, state.lr, out=g)
 
@@ -208,31 +199,24 @@ OPTIMIZER_STEPS = {"sgd": sgd_step, "adam": adam_step}
 
 @dataclass(frozen=True)
 class Schedule:
-    """A named learning-rate law; rates are positive and non-increasing."""
+    """A learning-rate law of the 0-based epoch, positive, non-increasing."""
 
-    kind: str            # "step-decay" | "two-phase" | "constant"
+    rate: Callable[[int], float]
     default_epochs: int
 
 
 SCHEDULES = {
-    "pretrain": Schedule("step-decay", default_epochs=30),
-    "depression": Schedule("two-phase", default_epochs=3),
-    "pain": Schedule("constant", default_epochs=2),
+    "pretrain": Schedule(lambda epoch: 0.01 * 0.1 ** (epoch // 10), 30),
+    "depression": Schedule(lambda epoch: 0.005 if epoch < 1 else 0.0005, 3),
+    "pain": Schedule(lambda epoch: 0.001, 2),
 }
 
 
-def lr_at(schedule: Schedule | str, epoch: int) -> float:
+def lr_at(schedule: Schedule, epoch: int) -> float:
     """Learning rate of the given schedule at a 0-based epoch."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    kind = schedule.kind if isinstance(schedule, Schedule) else schedule
-    if kind == "step-decay":
-        return 0.01 * 0.1 ** (epoch // 10)
-    if kind == "two-phase":
-        return 0.005 if epoch < 1 else 0.0005
-    if kind == "constant":
-        return 0.001
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    return schedule.rate(epoch)
 
 
 @dataclass(frozen=True)
@@ -257,8 +241,6 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    seed: int
-    config: TrainConfig
     steps: list[tuple[int, int, float, float]] = field(default_factory=list)
 
 
@@ -293,8 +275,7 @@ def train_step(spec: ModelSpec, params: dict, clips: np.ndarray,
     return params, loss
 
 
-def train(model_config: ModelConfig, dataset, config: TrainConfig,
-          params: dict | None = None):
+def train(model_config: ModelConfig, dataset, config: TrainConfig):
     """Train a freshly initialized model on a clip dataset.
 
     ``dataset`` is anything with ``clip_arrays()`` and ``labels()`` (see the
@@ -306,12 +287,11 @@ def train(model_config: ModelConfig, dataset, config: TrainConfig,
     if len(clips) == 0:
         raise ValueError("training dataset is empty")
     spec = build_model(model_config)
-    if params is None:
-        params = init_params(spec)
+    params = init_params(spec)
     schedule = SCHEDULES[config.schedule]
     state = init_optimizer(config.optimizer, lr_at(schedule, 0))
     shuffle_rng = np.random.default_rng(config.seed)
-    history = TrainHistory(seed=config.seed, config=config)
+    history = TrainHistory()
     step = 0
     for epoch in range(config.resolved_epochs()):
         state.lr = lr_at(schedule, epoch)

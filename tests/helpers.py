@@ -5,7 +5,8 @@ import numpy as np
 from dmsn.blocks import RunState, unit_backward, unit_forward
 from dmsn.ops import (POOL_GEOMETRY, ConvLayerSpec, conv_output_shape,
                       window_output_shape)
-from dmsn.training import ADAM_BETAS, ADAM_EPS, _NO_DECAY_SUFFIXES
+from dmsn.training import (ADAM_BETAS, ADAM_EPS, SGD_MOMENTUM, WEIGHT_DECAY,
+                           _NO_DECAY_SUFFIXES)
 
 
 def naive_conv3d(x, spec: ConvLayerSpec, weights, bias=None):
@@ -121,7 +122,7 @@ def reference_optimizer_step(params, grads, state):
     t = state.step_count + 1
 
     def sgd(g, v):
-        v = g if v is None else state.momentum * v + g
+        v = g if v is None else SGD_MOMENTUM * v + g
         return state.lr * v, v
 
     def adam(g, slot):
@@ -140,8 +141,8 @@ def reference_optimizer_step(params, grads, state):
             raise ValueError(f"{name}: grad shape {grad.shape} != param shape "
                              f"{theta.shape}")
         g = grad.astype(np.float64, copy=False)
-        if state.weight_decay and not name.endswith(_NO_DECAY_SUFFIXES):
-            g = g + state.weight_decay * theta.astype(np.float64, copy=False)
+        if not name.endswith(_NO_DECAY_SUFFIXES):
+            g = g + WEIGHT_DECAY * theta.astype(np.float64, copy=False)
         step, state.slots[name] = update(g, state.slots.get(name))
         out[name] = (theta - step).astype(theta.dtype, copy=False)
     state.step_count += 1

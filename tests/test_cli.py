@@ -277,6 +277,14 @@ class TestSynthTrainEval:
         assert err == f"error: {field} must be finite, got {value}\n"
         assert not out.exists()
 
+    def test_synth_rejects_negative_label_min(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "synth", "--label-min", "-3",
+                                "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: label_min must be >= 0")
+        assert not out.exists()
+
     def test_synth_writes_generator_config(self, workspace):
         text = (workspace / "data" / "synth_config.txt").read_text()
         assert "clip_count=8" in text and "seed=7" in text

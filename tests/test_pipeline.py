@@ -228,13 +228,21 @@ class TestSynth:
         ("label_max", float("inf"), "label_max must be finite"),
         ("step_per_unit", float("nan"), "step_per_unit must be finite, got nan"),
         ("step_per_unit", float("-inf"), "step_per_unit must be finite"),
+        # x and -x would move the bump alike
+        ("label_min", -3.0, "label_min must be >= 0"),
+        # 4 px per label unit moves the top labels (up to the default 4.0)
+        # farther per frame than the 12.8 px diameter of a 32x32 clip's
+        # circle, so their motion would be capped
+        ("step_per_unit", 4.0, r"step_per_unit \* label_max must be at most "
+         r"the circle's diameter 12.8 px, got 4.0 \* 4.0"),
+        ("step_per_unit", -4.0, r"diameter 12.8 px, got -4.0 \* 4.0"),
     ])
     def test_config_rejects_bad_field(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             SynthConfig(**{field: value})
 
     def test_config_rejects_overflowing_label_range(self):
-        with pytest.raises(ValueError, match="label_max - label_min"):
+        with pytest.raises(ValueError, match="label_min must be >= 0"):
             SynthConfig(label_min=-1e308, label_max=1e308)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from dmsn.model import ModelConfig, build_model, init_params
 from dmsn.pipeline import SynthConfig, synth_generate
-from dmsn.training import (SCHEDULES, OptimizerState, TrainConfig,
+from dmsn.training import (SCHEDULES, SGD_MOMENTUM, WEIGHT_DECAY, TrainConfig,
                            TrainingDiverged, adam_step, history_lines,
                            init_optimizer, lr_at, mae_loss, mse_loss,
                            predict_scores, save_history, sgd_step, train,
@@ -59,58 +59,60 @@ class TestLosses:
 
 class TestOptimizers:
     def test_sgd_plain_step(self):
-        state = init_optimizer("sgd", lr=0.1, momentum=0.0, weight_decay=0.0)
-        params = {"w": np.array([1.0])}
-        out = sgd_step(params, {"w": np.array([1.0])}, state)
-        np.testing.assert_allclose(out["w"], [0.9])
+        # a first step on an undecayed entry: v = g
+        state = init_optimizer("sgd", lr=0.1)
+        params = {"a.shift": np.array([1.0])}
+        out = sgd_step(params, {"a.shift": np.array([1.0])}, state)
+        np.testing.assert_allclose(out["a.shift"], [0.9])
 
     def test_sgd_two_step_momentum_recurrence(self):
         # hand-computed: v1=0.5, theta1=0.95; v2=0.9*0.5+0.5=0.95,
         # theta2=0.95-0.095=0.855
-        state = init_optimizer("sgd", lr=0.1, momentum=0.9, weight_decay=0.0)
-        params = {"w": np.array([1.0])}
-        g = {"w": np.array([0.5])}
+        assert SGD_MOMENTUM == 0.9
+        state = init_optimizer("sgd", lr=0.1)
+        params = {"a.scale": np.array([1.0])}
+        g = {"a.scale": np.array([0.5])}
         params = sgd_step(params, g, state)
-        np.testing.assert_allclose(params["w"], [0.95])
+        np.testing.assert_allclose(params["a.scale"], [0.95])
         params = sgd_step(params, g, state)
-        np.testing.assert_allclose(params["w"], [0.855])
+        np.testing.assert_allclose(params["a.scale"], [0.855])
 
     def test_sgd_weight_decay_adds_to_gradient(self):
-        # v1 = g + wd*theta = 0.5 + 0.1 -> theta1 = 1 - 0.06 = 0.94
-        state = init_optimizer("sgd", lr=0.1, momentum=0.9, weight_decay=0.1)
-        params = {"w": np.array([1.0])}
-        params = sgd_step(params, {"w": np.array([0.5])}, state)
-        np.testing.assert_allclose(params["w"], [0.94])
+        # v1 = g + wd*theta = 0.5 + 1e-4*2 -> theta1 = 2 - 0.1*0.5002
+        assert WEIGHT_DECAY == 1e-4
+        state = init_optimizer("sgd", lr=0.1)
+        params = {"a.w": np.array([2.0])}
+        params = sgd_step(params, {"a.w": np.array([0.5])}, state)
+        np.testing.assert_allclose(params["a.w"], [1.94998], rtol=1e-12)
 
     def test_adam_first_step_magnitude_is_lr(self):
         for scale in (1e-3, 1.0, 1e3):
-            state = init_optimizer("adam", lr=0.01, weight_decay=0.0)
+            state = init_optimizer("adam", lr=0.01)
             params = {"w": np.array([0.0])}
             out = adam_step(params, {"w": np.array([scale])}, state)
             assert abs(abs(out["w"][0]) - 0.01) < 1e-5
 
     def test_zero_gradient_zero_decay_leaves_param(self):
-        for kind in ("sgd", "adam"):
-            state = init_optimizer(kind, lr=0.5, weight_decay=0.0)
-            params = {"w": np.array([2.0])}
-            out = OptimizerState
+        for kind, step_fn in (("sgd", sgd_step), ("adam", adam_step)):
+            state = init_optimizer(kind, lr=0.5)
+            params = {"a.scale": np.array([2.0])}
             for _ in range(3):
-                params = (sgd_step if kind == "sgd" else adam_step)(
-                    params, {"w": np.array([0.0])}, state)
-            np.testing.assert_array_equal(params["w"], [2.0])
+                params = step_fn(params, {"a.scale": np.array([0.0])}, state)
+            np.testing.assert_array_equal(params["a.scale"], [2.0])
 
     def test_weight_decay_skips_normalization_params(self):
-        state = init_optimizer("sgd", lr=0.1, momentum=0.0, weight_decay=1.0)
+        state = init_optimizer("sgd", lr=0.1)
         params = {"a.scale": np.array([1.0]), "a.shift": np.array([1.0]),
                   "a.w": np.array([1.0])}
         zero = {k: np.array([0.0]) for k in params}
         out = sgd_step(params, zero, state)
         np.testing.assert_array_equal(out["a.scale"], [1.0])
         np.testing.assert_array_equal(out["a.shift"], [1.0])
-        np.testing.assert_allclose(out["a.w"], [0.9])
+        np.testing.assert_allclose(out["a.w"], [1.0 - 0.1 * WEIGHT_DECAY],
+                                   rtol=1e-15)
 
     def test_decay_only_shrinks_norm(self):
-        state = init_optimizer("sgd", lr=0.1, momentum=0.0, weight_decay=0.5)
+        state = init_optimizer("sgd", lr=0.1)
         params = {"w": np.array([4.0, -2.0])}
         norms = [np.linalg.norm(params["w"])]
         for _ in range(5):
@@ -123,8 +125,7 @@ class TestOptimizers:
         for _ in range(20):
             a = rng.uniform(0.5, 4.0, size=3)
             x = rng.normal(size=3)
-            state = init_optimizer("sgd", lr=0.05, momentum=0.0,
-                                   weight_decay=0.0)
+            state = init_optimizer("sgd", lr=0.05)
             loss0 = float(np.sum(a * x * x))
             out = sgd_step({"x": x}, {"x": 2 * a * x}, state)
             loss1 = float(np.sum(a * out["x"] ** 2))
@@ -136,36 +137,35 @@ class TestOptimizers:
             sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state)
 
 
+def micro_learnables():
+    return {name: value
+            for name, value in init_params(build_model(MICRO)).items()
+            if not name.endswith((".mean", ".var"))}
+
+
 class TestChunkedOptimizer:
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_fifty_steps_match_per_entry_reference_bitwise(self, kind):
         # The micro model's learnable entries (decayed weights, undecayed
         # scale/shift), one of them float32, with per-entry gradient scales
         # from 1e-6 to 1e3 and signed zeros in both gradients and params.
-        # Every tenth step updates only a random subset of entries, which
-        # changes the chunk layout.
         step_fn = {"sgd": sgd_step, "adam": adam_step}[kind]
         rng = np.random.default_rng(21)
-        params = {name: value
-                  for name, value in init_params(build_model(MICRO)).items()
-                  if not name.endswith((".mean", ".var"))}
+        params = micro_learnables()
         names = list(params)
         params[names[3]] = params[names[3]].astype(np.float32)
         for name in names[:6]:
             params[name].flat[:2] = -0.0
         scales = dict(zip(names, 10.0 ** rng.uniform(-6, 3, len(names))))
-        state = init_optimizer(kind, 0.01, weight_decay=0.05)
-        ref_state = init_optimizer(kind, 0.01, weight_decay=0.05)
+        state = init_optimizer(kind, 0.01)
+        ref_state = init_optimizer(kind, 0.01)
         ours, ref = dict(params), dict(params)
         for step in range(50):
-            picked = names
-            if step % 10 == 9:
-                picked = [n for n in names if rng.random() < 0.5]
             grads = {name: rng.normal(scale=scales[name],
                                       size=params[name].shape).astype(
                                           params[name].dtype)
-                     for name in picked}
-            for name in picked[:6]:
+                     for name in names}
+            for name in names[:6]:
                 grads[name].flat[:3] = -0.0
             held = {name: value.tobytes() for name, value in ours.items()}
             given = {name: value.tobytes() for name, value in grads.items()}
@@ -187,38 +187,84 @@ class TestChunkedOptimizer:
                     assert a.shape == b.shape and a.dtype == b.dtype
                     assert a.tobytes() == b.tobytes(), (step, name)
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("change", ["missing", "extra", "reshaped"])
+    def test_step_with_other_entries_rejected(self, kind, change):
+        step_fn = {"sgd": sgd_step, "adam": adam_step}[kind]
+        params = {"a.w": np.ones(4), "a.shift": np.ones(2), "b.w": np.ones(3)}
+        grads = {"a.w": np.full(4, 0.5), "a.shift": np.full(2, 0.5)}
+        state = init_optimizer(kind, 0.1)
+        params = step_fn(params, grads, state)
+        slots = {name: np.array(state.slots[name]).tobytes()
+                 for name in state.slots}
+        if change == "missing":
+            del grads["a.shift"]
+        elif change == "extra":
+            grads["b.w"] = np.full(3, 0.5)
+        else:
+            params["a.w"], grads["a.w"] = np.ones((2, 2)), np.ones((2, 2))
+        with pytest.raises(ValueError, match="first step"):
+            step_fn(params, grads, state)
+        assert state.step_count == 1 and set(state.slots) == set(slots)
+        for name, held in slots.items():
+            assert np.array(state.slots[name]).tobytes() == held, name
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_slots_are_laid_out_once_decayed_apart(self, kind):
+        step_fn = {"sgd": sgd_step, "adam": adam_step}[kind]
+        rng = np.random.default_rng(5)
+        params = micro_learnables()
+        state = init_optimizer(kind, 0.01)
+        for step in range(50):
+            grads = {name: rng.normal(size=value.shape)
+                     for name, value in params.items()}
+            params = step_fn(params, grads, state)
+            if step == 0:
+                first = dict(state.slots)
+        assert all(state.slots[name] is slot for name, slot in first.items())
+        # each slot is a view of one chunk's buffer, and a chunk holds
+        # decayed or undecayed entries, never both
+        chunks = {}
+        for name, slot in state.slots.items():
+            base = (slot[0] if kind == "adam" else slot).base
+            chunks.setdefault(id(base), set()).add(
+                name.endswith((".scale", ".shift")))
+        assert len(chunks) > 2
+        assert all(len(kinds) == 1 for kinds in chunks.values())
+
 
 class TestSchedules:
     def test_step_decay_divides_by_ten_every_ten_epochs(self):
-        assert lr_at("step-decay", 0) == 0.01
-        assert lr_at("step-decay", 9) == 0.01
-        assert abs(lr_at("step-decay", 10) - 0.001) < 1e-15
-        assert abs(lr_at("step-decay", 25) - 1e-4) < 1e-16
+        pretrain = SCHEDULES["pretrain"]
+        assert lr_at(pretrain, 0) == 0.01
+        assert lr_at(pretrain, 9) == 0.01
+        assert abs(lr_at(pretrain, 10) - 0.001) < 1e-15
+        assert abs(lr_at(pretrain, 25) - 1e-4) < 1e-16
 
     def test_two_phase(self):
-        assert lr_at("two-phase", 0) == 0.005
-        assert lr_at("two-phase", 1) == 0.0005
-        assert lr_at("two-phase", 2) == 0.0005
+        depression = SCHEDULES["depression"]
+        assert lr_at(depression, 0) == 0.005
+        assert lr_at(depression, 1) == 0.0005
+        assert lr_at(depression, 2) == 0.0005
 
     def test_constant(self):
-        assert all(lr_at("constant", e) == 0.001 for e in range(5))
+        assert all(lr_at(SCHEDULES["pain"], e) == 0.001 for e in range(5))
 
     def test_named_schedules_and_defaults(self):
-        assert SCHEDULES["pretrain"].kind == "step-decay"
-        assert SCHEDULES["depression"].kind == "two-phase"
+        assert set(SCHEDULES) == {"pretrain", "depression", "pain"}
+        assert SCHEDULES["pretrain"].default_epochs == 30
         assert SCHEDULES["depression"].default_epochs == 3
-        assert SCHEDULES["pain"].kind == "constant"
         assert SCHEDULES["pain"].default_epochs == 2
 
     def test_rates_positive_and_non_increasing(self):
-        for kind in ("step-decay", "two-phase", "constant"):
-            rates = [lr_at(kind, e) for e in range(30)]
+        for schedule in SCHEDULES.values():
+            rates = [lr_at(schedule, e) for e in range(30)]
             assert all(r > 0 for r in rates)
             assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            lr_at("constant", -1)
+            lr_at(SCHEDULES["pain"], -1)
 
 
 def tiny_dataset(count=8, seed=0):
@@ -231,7 +277,7 @@ class TestTrainLoop:
         ds = tiny_dataset()
         spec = build_model(MICRO)
         before = init_params(spec)
-        state = init_optimizer("sgd", 0.0, weight_decay=0.0)
+        state = init_optimizer("sgd", 0.0)
         params, _ = train_step(spec, dict(before), np.stack(ds.clip_arrays()),
                                ds.labels(), state, "mse")
         stats = {k for k in before if k.endswith((".mean", ".var"))}
