@@ -242,7 +242,7 @@ def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
         bn_cache, _param(params, f"{name}.scale"), grad)
     grads_out[f"{name}.scale"] = gscale
     grads_out[f"{name}.shift"] = gshift
-    gx, grads_out[f"{name}.w"], _ = conv3d_backward(
+    gx, grads_out[f"{name}.w"] = conv3d_backward(
         x, conv, _param(params, f"{name}.w"), grad, need_input_grad)
     return gx
 
@@ -319,7 +319,7 @@ def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
     return _walk_back(block_graph(spec), params, state.cache, name, grad)[0]
 
 
-def describe_block(spec: BlockSpec, prefix: str = "") -> list[str]:
+def describe_block(spec: BlockSpec, prefix: str) -> list[str]:
     """Human-readable per-layer listing: ids, kernel/stride/padding, channels."""
     lines = []
     for name, conv, act, _, _ in block_graph(spec, prefix)[:-1]:

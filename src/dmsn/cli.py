@@ -23,9 +23,8 @@ from .complexity import count_flops, emit_cost_table
 from .gradsuite import run_gradient_suites
 from .model import (ConfigError, ModelConfig, build_model, load_checkpoint,
                     model_plan, save_checkpoint)
-from .ops import POOL_GEOMETRY, GeometryError, ShapeError
-from .pipeline import (DatasetError, ManifestError, SynthConfig,
-                       aggregate_video_score, format_synth_config,
+from .ops import POOL_GEOMETRY
+from .pipeline import (SynthConfig, aggregate_video_score, format_synth_config,
                        load_manifest, metric_mae, metric_mse, metric_rmse,
                        save_manifest, synth_generate)
 from .training import (LOSSES, OPTIMIZER_STEPS, SCHEDULES, TrainConfig,
@@ -429,8 +428,7 @@ def main(argv=None) -> int:
     except (ConfigError, BlockConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (CliError, ManifestError, DatasetError, ShapeError, GeometryError,
-            TrainingDiverged, ValueError, OSError) as exc:
+    except (CliError, TrainingDiverged, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -110,7 +110,7 @@ def count_flops(spec: ModelSpec, input_geometry=None,
     return report
 
 
-def emit_cost_table(reports: list[CostReport], format: str = "text") -> str:
+def emit_cost_table(reports: list[CostReport], format: str) -> str:
     """Summary table, one row per report, in the order given."""
     if not reports:
         raise ValueError("emit_cost_table needs at least one report")

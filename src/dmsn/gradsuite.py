@@ -147,8 +147,10 @@ def _conv_case(seed, spec: ConvLayerSpec, x_shape, bias: bool,
         return p
 
     def backward(p, r):
-        grads = zip("xwb", conv3d_backward(p["x"], spec, p["w"], r))
-        return {name: g for name, g in grads if name in p}
+        grads = dict(zip("xw", conv3d_backward(p["x"], spec, p["w"], r)))
+        if bias:
+            grads["b"] = r.reshape(len(r), spec.out_channels, -1).sum(axis=(0, 2))
+        return grads
 
     return _projected(
         seed, draw, lambda p: conv3d_forward(p["x"], spec, p["w"], p.get("b")),

@@ -113,7 +113,7 @@ def build_model(config: ModelConfig) -> ModelSpec:
     return ModelSpec(config, conv1, tuple(stages), in_ch)
 
 
-def expected_clip_shape(spec: ModelSpec, batch: int | None = None):
+def expected_clip_shape(spec: ModelSpec, batch: int):
     h, w = spec.config.input_size
     return (batch, 3, spec.config.clip_len, h, w)
 

@@ -13,14 +13,15 @@ A conv forward reduces one temporal tap per GEMM (:func:`_correlate`), each
 GEMM splits its reduction axis at fixed offsets (``_GEMM_DEPTH``), and the
 pieces are added in order, so a float32 forward pass gives the same bytes at
 1 and 2 BLAS threads, and the conv backward splits its GEMMs alike.  (Float64
-GEMMs on OpenBLAS 0.3.31 can differ between thread counts at any depth.)  At
-stride 1 a conv's input gradient needs no scatter: a conv wider than 1 in h
-or w runs the forward lowering on the output gradient's windows with the
-flipped, channel-swapped kernel, and takes its weight gradient from the same
-windows; a pointwise conv is one GEMM.  Temporal and strided convs scatter
-window gradients tap by tap (:func:`_col2im`).  The max pool forward is
-separable and keeps only values; its backward makes one pass per kernel
-offset over strided views.  A window holding a NaN pools to NaN.
+GEMMs on OpenBLAS 0.3.31 can differ between thread counts at any depth.)  The
+conv backward gives input and weight gradients, no bias gradient.  At stride
+1 the input gradient needs no scatter: it is the forward lowering of the
+output gradient's windows with the flipped, channel-swapped kernel, and the
+weight gradient comes from the same windows.  Temporal convs with ``kt > 1``
+and strided convs scatter window gradients tap by tap (:func:`_col2im`).
+The max pool forward is separable and keeps only values; its backward makes
+one pass per kernel offset over strided views.  A window holding a NaN pools
+to NaN.
 
 All functions are pure with respect to their array arguments, except two that
 write into an array their caller owns: :func:`batchnorm_eval_inplace`
@@ -160,64 +161,46 @@ def _crop5(xp: np.ndarray, padding, shape) -> np.ndarray:
     return xp[:, :, pt:pt + t, ph:ph + h, pw:pw + w]
 
 
-def _windows(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
-    """Gather sliding windows of the padded input, channels first.
-
-    Returns ``(n, c*kt*kh*kw, to*ho*wo)``: rows run over the window, matching
-    a ``(out_c, c*kt*kh*kw)`` reshaped kernel, and columns over the output
-    positions, so ``W @ cols[i]`` is sample ``i``'s output already in NCTHW
-    order.  For a stride-1 unpadded pointwise conv the result is a view of a
-    contiguous input, not a copy.
-
-    The conv kernels call it with kernel ``(1, kh, kw)``, stride
-    ``(1, sh, sw)`` and every padded frame as output time, so each frame's
-    spatial windows are gathered once and all temporal taps read them (see
-    :func:`_taps`).  Temporal convs (``kh = kw = 1``, no spatial padding,
-    stride 1) then gather nothing.
+def _taps(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
+    """Gather the ``(c*kh*kw)`` spatial windows of every padded frame once and
+    return what each temporal tap meets in them, as
+    ``(kt, n, c*kh*kw, to*ho*wo)``: tap ``dt`` reads frames ``dt, dt + st,
+    ..., dt + st*(to-1)``, its rows match ``weights[:, :, dt]`` reshaped to
+    ``(out_c, c*kh*kw)``, and ``W @ tap[i]`` is sample ``i``'s output in
+    NCTHW order.  At temporal stride 1 the taps are views of the one gather,
+    which for a conv 1 wide, unpadded and unstrided in h and w is a view of
+    the input.
     """
     xp = np.ascontiguousarray(xp)
-    n, c = xp.shape[:2]
+    n, c, t_pad = xp.shape[:3]
     kt, kh, kw = kernel
     st, sh, sw = stride
     to, ho, wo = out_tail
     sn, sc, s0, s1, s2 = xp.strides
     # The view np.lib.stride_tricks.as_strided would make, at a fifth of its
     # cost (~1.5 vs ~8 us), which counts on the small convs of a desk step.
-    view = np.ndarray((n, c, kt, kh, kw, to, ho, wo), xp.dtype, xp, 0,
-                      (sn, sc, s0, s1, s2, s0 * st, s1 * sh, s2 * sw))
+    view = np.ndarray((n, c, kh, kw, t_pad, ho, wo), xp.dtype, xp, 0,
+                      (sn, sc, s1, s2, s0, s1 * sh, s2 * sw))
     view.flags.writeable = False
-    return view.reshape(n, c * kt * kh * kw, to * ho * wo)
+    # Contiguous, as the view below needs; this is where windows are copied.
+    cols = np.ascontiguousarray(view.reshape(n, c * kh * kw, t_pad * ho * wo))
+    sn, sr, _ = cols.strides
+    sf = ho * wo * cols.itemsize                # one frame
+    taps = np.ndarray((kt, n, c * kh * kw, to, ho * wo), cols.dtype, cols, 0,
+                      (sf, sn, sr, sf * st, cols.itemsize))
+    return taps.reshape(kt, n, c * kh * kw, to * ho * wo)
 
 
 def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
-    """The windows of :func:`_windows` as ``(n*to*ho*wo, c*kt*kh*kw)``, one row
-    per output position.
-
-    The kernels do not use this layout; ``perfbench/selftest.py`` builds its
-    reference float32 conv on it.
+    """The windows of :func:`_taps` as ``(n*to*ho*wo, c*kt*kh*kw)``, one row
+    per output position in ``(c, kt, kh, kw)`` order, for a
+    ``(out_c, c*kt*kh*kw)`` reshaped kernel.  The kernels do not use this
+    layout; ``perfbench/selftest.py`` builds its reference float32 conv on it.
     """
-    cols = _windows(xp, kernel, stride, out_tail)
-    return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
-
-
-def _taps(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
-    """Gather the ``(c*kh*kw)`` spatial windows of every padded frame once and
-    return what each temporal tap meets in them, as
-    ``(kt, n, c*kh*kw, to*ho*wo)``: tap ``dt`` reads frames ``dt, dt + st,
-    ..., dt + st*(to-1)``.  At temporal stride 1 this is a view of the one
-    gather."""
-    n, c, t_pad = xp.shape[:3]
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    to, ho, wo = out_tail
-    # Contiguous, as the view below needs; only degenerate geometries copy.
-    cols = np.ascontiguousarray(
-        _windows(xp, (1, kh, kw), (1, sh, sw), (t_pad, ho, wo)))
-    sn, sr, _ = cols.strides
-    sf = ho * wo * cols.itemsize                # one frame
-    view = np.ndarray((kt, n, c * kh * kw, to, ho * wo), cols.dtype, cols, 0,
-                      (sf, sn, sr, sf * st, cols.itemsize))
-    return view.reshape(kt, n, c * kh * kw, to * ho * wo)
+    taps = _taps(xp, kernel, stride, out_tail)
+    kt, n, _, p = taps.shape
+    return taps.reshape(kt, n, -1, kernel[1] * kernel[2], p).transpose(
+        1, 4, 2, 0, 3).reshape(n * p, -1)
 
 
 def _correlate(taps: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -234,9 +217,9 @@ def _correlate(taps: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _col2im(gcols: np.ndarray, x_shape, kernel, stride, padding, out_tail):
-    """The adjoint of :func:`_windows` over :func:`_pad5`: scatter-add window
-    gradients onto a zero padded input, offset by offset, and return its
-    ``x_shape`` interior."""
+    """The adjoint of :func:`_im2col` over :func:`_pad5`: scatter-add window
+    gradients ``(n, c*kt*kh*kw, to*ho*wo)`` onto a zero padded input, offset
+    by offset, and return its ``x_shape`` interior."""
     n, c, t, h, w = x_shape
     pt, ph, pw = padding
     st, sh, sw = stride
@@ -271,7 +254,8 @@ def conv3d_forward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     every padded frame are gathered once, tap ``dt`` is one GEMM of
     ``weights[:, :, dt]`` with the frames it meets, and the taps' products
     are added in tap order.  At temporal stride 1 each tap is a view of the
-    one gather.
+    one gather.  ``bias`` is added per output channel; no model conv has one,
+    and its gradient is ``grad_out`` summed over every axis but channels.
     """
     _check_conv_args(x, spec, weights, bias)
     n, co, to, ho, wo = conv_output_shape(x.shape, spec)
@@ -286,9 +270,9 @@ def conv3d_forward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
 
 def _flip_pad(spec: ConvLayerSpec):
     """The padding ``k - 1 - p`` of the flipped-kernel forward that gives a
-    stride-1 conv wider than 1 in h or w its gradients, or None for any
-    other conv (or a padding as wide as the kernel)."""
-    if (spec.stride != (1, 1, 1) or spec.is_temporal
+    stride-1 conv its gradients, or None for a strided conv, a temporal conv
+    with ``kt > 1`` or a padding as wide as the kernel."""
+    if (spec.stride != (1, 1, 1) or (spec.is_temporal and not spec.is_pointwise)
             or any(p >= k for p, k in zip(spec.padding, spec.kernel))):
         return None
     return tuple(k - 1 - p for p, k in zip(spec.padding, spec.kernel))
@@ -296,28 +280,26 @@ def _flip_pad(spec: ConvLayerSpec):
 
 def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
                     grad_out: np.ndarray, need_input_grad: bool = True):
-    """Gradients of the forward cross-correlation w.r.t. input, kernel, and bias.
+    """Gradients of the forward cross-correlation w.r.t. input and kernel.
 
-    Returns ``(grad_x, grad_weights, grad_bias)``; ``grad_bias`` is always
-    computed (callers for bias-free layers just drop it), and ``grad_x`` is
-    None when the caller declares it unused.  ``grad_x`` has the dtype of
-    ``x``, the other two that of ``weights``.  Every GEMM reduction is cut
-    at ``_GEMM_DEPTH``, as the forward's are.
+    Returns ``(grad_x, grad_weights)`` in the dtypes of ``x`` and
+    ``weights``; ``grad_x`` is None when the caller declares it unused.
+    Every GEMM reduction is cut at ``_GEMM_DEPTH``, as the forward's are.
 
-    A stride-1 conv wider than 1 in h or w (:func:`_flip_pad`) gathers the
-    windows of ``grad_out`` padded by ``k - 1 - p``, once.  ``grad_x`` is the
-    forward lowering (:func:`_correlate`) of those windows with the kernel
-    flipped on all three axes and its channel axes swapped, and tap ``dt``
-    of the flipped kernel's weight gradient is ``sum_n x[n] @ window[n].T``.
-    Neither gathers ``x``.
+    A stride-1 conv (:func:`_flip_pad`) gathers the windows of ``grad_out``
+    padded by ``k - 1 - p``, once.  ``grad_x`` is the forward lowering
+    (:func:`_correlate`) of those windows with the kernel flipped on all
+    three axes and its channel axes swapped, and tap ``dt`` of the flipped
+    kernel's weight gradient is ``sum_n x[n] @ window[n].T``.  Neither
+    gathers ``x``; a pointwise kernel flips to itself.
 
-    Every other conv gathers the windows of ``x`` as the forward does
-    (:func:`_taps`): ``grad_weights[:, :, dt]`` is
-    ``sum_n grad_out[n] @ tap[n].T``.  An unpadded stride-1 pointwise conv's
-    ``grad_x`` is ``weights.T @ grad_out``.  The rest make one GEMM,
-    ``weights.T @ grad_out`` over all taps, that :func:`_col2im` scatters
-    onto the padded input gradient tap by tap; per-tap GEMMs would triple the
-    GEMM calls of the small temporal convs of a desk step.
+    Temporal convs with ``kt > 1`` and strided convs gather the windows of
+    ``x`` as the forward does (:func:`_taps`): ``grad_weights[:, :, dt]`` is
+    ``sum_n grad_out[n] @ tap[n].T``, and one GEMM, ``weights.T @ grad_out``
+    over all taps, gives window gradients that :func:`_col2im` scatters onto
+    the padded input gradient tap by tap.  Per-tap GEMMs would triple the
+    GEMM calls of the small temporal convs of a desk step, and the flipped
+    path would add their taps in reverse order.
     """
     _check_conv_args(x, spec, weights, None)
     out_shape = conv_output_shape(x.shape, spec)
@@ -328,8 +310,6 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     kt, kh, kw = spec.kernel
     w = weights.astype(x.dtype, copy=False)
     go = grad_out.astype(x.dtype, copy=False)
-    go3 = go.reshape(n, co, -1)
-    gb = go3.sum(axis=(0, 2), dtype=np.float64)
     gx = None
     flip_pad = _flip_pad(spec)
     if flip_pad is not None:
@@ -342,6 +322,7 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
             flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
             gx = _correlate(windows, flipped).reshape(x.shape)
     else:
+        go3 = go.reshape(n, co, -1)
         taps = _taps(_pad5(x, spec.padding), spec.kernel, spec.stride,
                      (to, ho, wo))
         # taps @ go.T, the transpose of go @ taps.T, puts the window rows on
@@ -349,15 +330,9 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
         gw = _gemm(taps, go3.transpose(0, 2, 1)).sum(axis=1)
         gw = gw.reshape(kt, ci, kh, kw, co).transpose(4, 1, 0, 2, 3)
         if need_input_grad:
-            gcols = _gemm(w.reshape(co, -1).T, go3)
-            if (spec.is_pointwise and spec.stride == (1, 1, 1)
-                    and spec.padding == (0, 0, 0)):
-                gx = gcols.reshape(x.shape)
-            else:
-                gx = _col2im(gcols, x.shape, spec.kernel, spec.stride,
-                             spec.padding, (to, ho, wo))
-    return (gx, gw.astype(weights.dtype, order="C"),
-            gb.astype(weights.dtype, copy=False))
+            gx = _col2im(_gemm(w.reshape(co, -1).T, go3), x.shape, spec.kernel,
+                         spec.stride, spec.padding, (to, ho, wo))
+    return gx, gw.astype(weights.dtype, order="C")
 
 
 def maxpool3d(x: np.ndarray) -> np.ndarray:
