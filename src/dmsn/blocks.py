@@ -96,7 +96,7 @@ def _split_widths(total: int, parts: int) -> tuple[int, ...]:
 
 
 def build_block(variant: str, in_channels: int, out_channels: int,
-                spatial_stride: int = 1, branch_count: int = 4) -> BlockSpec:
+                spatial_stride: int, branch_count: int = 4) -> BlockSpec:
     """Construct a block spec for one variant.
 
     ``mid_channels = out_channels / 2``; the first Main Stage conv halves that,
@@ -146,7 +146,7 @@ def build_block(variant: str, in_channels: int, out_channels: int,
 class RunState:
     """Optional side channels threaded through forward passes."""
 
-    mode: str = "eval"
+    mode: str                       # "train" | "eval"
     cache: dict | None = None       # layer id -> backward cache
     stats: dict | None = None       # updated batchnorm running stats
     counter: MacCounter | None = None
@@ -248,11 +248,9 @@ def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
 
 
 def block_forward(spec: BlockSpec, params, x: np.ndarray,
-                  state: RunState | None = None, prefix: str = "") -> np.ndarray:
+                  state: RunState, prefix: str = "") -> np.ndarray:
     """Run one block; output channels = ``out_channels``, spatial extents
     divided by ``spatial_stride``."""
-    if state is None:
-        state = RunState()
     check_tensor5(x)
     if x.shape[1] != spec.in_channels:
         raise ShapeError(f"block {prefix or spec.variant}: input has "

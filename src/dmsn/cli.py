@@ -83,6 +83,7 @@ GLOBAL_OPTS = (
 )
 SEED_OPT = Opt("--seed", int, 0, "random seed")
 FORMATS = ("text", "csv")
+AGGREGATES = ("median",)
 FORMAT_OPT = Opt("--format", str, "text", "output format: text or csv")
 
 MODEL_OPTS = (
@@ -226,8 +227,6 @@ def _check_choice(values: dict, dest: str, valid) -> None:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -368,8 +367,6 @@ def _metric_rows(scores: np.ndarray, labels: np.ndarray, dataset, values: dict):
             rows.append(("subject", subject, len(keep), metric_mae(p, t),
                          metric_rmse(p, t), metric_mse(p, t)))
     if values["aggregate"] is not None:
-        if values["aggregate"] != "median":
-            raise UsageError(f"unknown aggregation {values['aggregate']!r}")
         videos: dict[str, list[int]] = {}
         for i, clip in enumerate(dataset.clips):
             videos.setdefault(clip.video_id, []).append(i)
@@ -384,6 +381,8 @@ def cmd_eval(values: dict) -> int:
     if values["data"] is None or values["checkpoint"] is None:
         raise UsageError("eval needs --data <manifest> and --checkpoint <file>")
     _check_choice(values, "format", FORMATS)
+    if values["aggregate"] is not None:
+        _check_choice(values, "aggregate", AGGREGATES)
     spec, params = load_checkpoint(values["checkpoint"])
     dataset = load_manifest(values["data"])
     scores = predict_scores(spec, params, dataset.clip_arrays(),

@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .blocks import BlockSpec, block_graph
+from .blocks import block_graph
 from .model import ModelSpec, model_plan
 from .ops import ConvLayerSpec
 
@@ -48,31 +48,20 @@ class CostReport:
         return self.total_macs * (2 if self.convention == "mac2" else 1)
 
 
-def _unit_row(name: str, conv: ConvLayerSpec, out_shape=None) -> CostRow:
+def _unit_row(name: str, conv: ConvLayerSpec, out_shape) -> CostRow:
     """Cost row for one conv+bn(+relu) unit with the given output shape."""
-    row = CostRow(name, "conv", None,
-                  params=conv.weight_count + 2 * conv.out_channels)
-    if out_shape is not None:
-        n, c, t, h, w = out_shape
-        row.out_extents = (c, t, h, w)
-        row.macs = conv.weight_count * n * t * h * w
-    return row
+    n, c, t, h, w = out_shape
+    return CostRow(name, "conv", (c, t, h, w),
+                   params=conv.weight_count + 2 * conv.out_channels,
+                   macs=conv.weight_count * n * t * h * w)
 
 
-def count_params(spec) -> CostReport:
+def count_params(spec: ModelSpec) -> CostReport:
     """Parameter columns only; geometry-independent."""
-    if isinstance(spec, BlockSpec):
-        report = CostReport(label=f"block-{spec.variant}")
-        report.rows = [_unit_row(name, conv)
-                       for name, conv, _, _, _ in block_graph(spec)[:-1]]
-    elif isinstance(spec, ModelSpec):
-        report = CostReport(label=spec.config.model_kind)
-        # the count_flops rows that hold parameters, without their geometry
-        report.rows = [CostRow(row.layer_id, row.kind, None, row.params)
-                       for row in count_flops(spec).rows if row.params]
-    else:
-        raise TypeError(f"count_params expects a ModelSpec or BlockSpec, "
-                        f"got {type(spec).__name__}")
+    report = CostReport(label=spec.config.model_kind)
+    # the count_flops rows that hold parameters, without their geometry
+    report.rows = [CostRow(row.layer_id, row.kind, None, row.params)
+                   for row in count_flops(spec).rows if row.params]
     return report
 
 

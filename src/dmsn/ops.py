@@ -428,7 +428,7 @@ def _check_batchnorm_args(x, scale, shift, running_mean, running_var):
 
 def batchnorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray,
-                      mode: str = "train"):
+                      mode: str):
     """Per-channel normalization over (n, t, h, w).
 
     Train mode normalizes with batch statistics and returns running stats moved
@@ -511,11 +511,10 @@ def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     """Affine map on a (rows, in_features) matrix: ``x @ W.T + b``."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear: x {x.shape} incompatible with W {weight.shape}")
-    if bias is not None and bias.shape != (weight.shape[0],):
+    if bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear bias shape {bias.shape}")
     y = _gemm(x, weight.astype(x.dtype, copy=False).T)
-    if bias is not None:
-        y += bias.astype(x.dtype)
+    y += bias.astype(x.dtype)
     if counter is not None:
         counter.add(x.shape[0] * weight.shape[0] * weight.shape[1])
     return y

@@ -145,12 +145,9 @@ class ClipDataset:
                            [c for c in self.clips if c.subject_id in keep])
 
 
-def segment_clips(video: VideoRecord, clip_len: int):
-    """Non-overlapping ``clip_len`` windows from frame 0; the remainder drops.
-
-    Returns ``(clips, short_warning)`` -- the warning flags a video shorter
-    than one clip.
-    """
+def segment_clips(video: VideoRecord, clip_len: int) -> list[Clip]:
+    """Non-overlapping ``clip_len`` windows from frame 0; the remainder drops,
+    so a video shorter than one clip gives none."""
     if clip_len < 1:
         raise ValueError(f"clip_len must be >= 1, got {clip_len}")
     frame_count = video.frames.shape[1]
@@ -164,14 +161,13 @@ def segment_clips(video: VideoRecord, clip_len: int):
             label = float(video.video_label)
         clips.append(Clip(video.subject_id, video.video_id, k, label,
                           data=video.frames[:, lo:hi]))
-    return clips, count == 0
+    return clips
 
 
 def dataset_from_videos(videos, clip_len: int) -> ClipDataset:
     ds = ClipDataset(clip_len)
     for video in videos:
-        clips, _ = segment_clips(video, clip_len)
-        ds.clips.extend(clips)
+        ds.clips.extend(segment_clips(video, clip_len))
     return ds
 
 

@@ -63,8 +63,8 @@ class OptimizerState:
 
     kind: str                      # "sgd" | "adam"
     lr: float
-    step_count: int = 0
-    slots: dict[str, object] = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    slots: dict[str, object] = field(default_factory=dict, init=False)
     # (entries, decayed, slot buffers) per chunk, laid out on the first step
     _chunks: list | None = field(default=None, init=False, repr=False)
 
@@ -241,7 +241,8 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    steps: list[tuple[int, int, float, float]] = field(default_factory=list)
+    steps: list[tuple[int, int, float, float]] = field(
+        default_factory=list, init=False)
 
 
 def history_lines(history: TrainHistory) -> list[str]:

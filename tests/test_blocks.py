@@ -103,21 +103,21 @@ class TestForward:
             if k.endswith(".var"):
                 params[k] = np.ones_like(params[k])
         x = np.zeros((1, 8, 4, 6, 6))
-        y = block_forward(block, params, x)
+        y = block_forward(block, params, x, RunState("eval"))
         np.testing.assert_array_equal(y, 0.0)
 
     def test_output_dims_full_width_block(self):
         block = build_block("A", 64, 128, 1)
         params = block_params(block, seed=1)
         x = np.random.default_rng(0).normal(size=(1, 64, 8, 28, 28))
-        y = block_forward(block, params, x)
+        y = block_forward(block, params, x, RunState("eval"))
         assert y.shape == (1, 128, 8, 28, 28)
 
     def test_spatial_stride_halves_extents(self):
         block = build_block("C", 8, 16, 2)
         params = block_params(block)
         x = np.random.default_rng(1).normal(size=(2, 8, 4, 8, 8))
-        y = block_forward(block, params, x)
+        y = block_forward(block, params, x, RunState("eval"))
         assert y.shape == (2, 16, 4, 4, 4)
 
     def test_matches_hand_composed_sequence(self):
@@ -147,7 +147,7 @@ class TestForward:
                      ops.concat_channels([b1, b2, b3, b4]), act=False)
         short = unit("proj", block.shortcut, x, act=False)
         want = ops.relu_forward(fused + short)
-        got = block_forward(block, params, x)
+        got = block_forward(block, params, x, RunState("eval"))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_zero_learned_weights_pass_residual_through(self):
@@ -159,34 +159,36 @@ class TestForward:
                 params[name] = np.zeros_like(params[name])
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 16, 4, 5, 5))
-        y = block_forward(block, params, x)
+        y = block_forward(block, params, x, RunState("eval"))
         np.testing.assert_allclose(y, ops.relu_forward(x), atol=1e-12)
 
     def test_eval_forward_bitwise_deterministic(self):
         block = build_block("C", 8, 16, 1)
         params = block_params(block, seed=7)
         x = np.random.default_rng(8).normal(size=(1, 8, 4, 6, 6))
-        y1 = block_forward(block, params, x)
-        y2 = block_forward(block, params, x)
+        y1 = block_forward(block, params, x, RunState("eval"))
+        y2 = block_forward(block, params, x, RunState("eval"))
         assert y1.tobytes() == y2.tobytes()
 
     def test_wrong_channel_count_rejected(self):
         block = build_block("A", 8, 16, 1)
         with pytest.raises(ops.ShapeError, match="channels"):
             block_forward(block, block_params(block),
-                          np.zeros((1, 4, 4, 6, 6)))
+                          np.zeros((1, 4, 4, 6, 6)), RunState("eval"))
 
     def test_non_5d_input_rejected_before_the_graph_is_built(self):
         block = build_block("A", 8, 16, 1)
         with pytest.raises(ops.ShapeError, match="5-d"):
-            block_forward(block, block_params(block), np.zeros((1, 8, 6, 6)))
+            block_forward(block, block_params(block), np.zeros((1, 8, 6, 6)),
+                          RunState("eval"))
 
     def test_missing_param_names_layer(self):
         block = build_block("A", 8, 16, 1)
         params = block_params(block)
         del params["main2.w"]
         with pytest.raises(ParamLookupError, match="main2.w"):
-            block_forward(block, params, np.zeros((1, 8, 4, 6, 6)))
+            block_forward(block, params, np.zeros((1, 8, 4, 6, 6)),
+                          RunState("eval"))
 
     def test_backward_grad_shapes_match(self):
         block = build_block("B", 8, 16, 2)

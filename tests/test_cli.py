@@ -382,6 +382,17 @@ class TestSynthTrainEval:
         assert code == 2 and out == ""
         assert "unknown format 'xml'; valid: text, csv" in err
 
+    def test_eval_rejects_unknown_aggregate_before_loading(self, workspace,
+                                                           tmp_path, capsys):
+        out = tmp_path / "metrics.txt"
+        code, stdout, err = run(capsys, "eval", "--data",
+                                str(workspace / "data/manifest.tsv"),
+                                "--checkpoint", str(tmp_path / "absent.ckpt"),
+                                "--aggregate", "mean", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == "usage error: unknown aggregate 'mean'; valid: median\n"
+        assert not out.exists()
+
     def test_depression_schedule_defaults_three_epochs_two_phase(
             self, workspace, tmp_path, capsys):
         history = tmp_path / "hist.txt"

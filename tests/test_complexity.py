@@ -7,9 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dmsn.blocks import RunState, build_block
-from dmsn.complexity import (CostReport, count_flops, count_params,
-                             emit_cost_table)
+from dmsn.blocks import RunState
+from dmsn.complexity import count_flops, count_params, emit_cost_table
 from dmsn.model import (ModelConfig, build_model, forward_with_state,
                         init_params, param_shapes)
 from dmsn.ops import MacCounter, ShapeError
@@ -17,11 +16,10 @@ from dmsn.ops import MacCounter, ShapeError
 
 class TestCountParams:
     def test_pointwise_conv_row(self):
-        block = build_block("A", 64, 128, 1)
-        report = count_params(block)
+        report = count_params(build_model(ModelConfig()))
         rows = {r.layer_id: r for r in report.rows}
-        # reduce conv 64->64 pointwise: 4096 weights + 128 norm params
-        assert rows["reduce"].params == 64 * 64 + 2 * 64
+        # res2.1's reduce conv 64->64 pointwise: 4096 weights + 128 norm params
+        assert rows["res2.1.reduce"].params == 64 * 64 + 2 * 64
 
     def test_stem_conv_weight_count(self):
         spec = build_model(ModelConfig())
@@ -184,8 +182,3 @@ class TestEmitTable:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             emit_cost_table([], format="text")
-
-    def test_block_param_report_has_label(self):
-        report = count_params(build_block("C", 64, 128, 1))
-        assert isinstance(report, CostReport)
-        assert report.label == "block-C"

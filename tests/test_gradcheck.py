@@ -23,7 +23,7 @@ def test_correct_gradient_passes():
     fn, params = quadratic_case()
     _, grads = fn(params)
     report = grad_check(lambda p: fn(p)[0], params, analytic_grads=grads,
-                        probe_count=3, threshold=1e-6)
+                        probe_count=3, threshold=1e-6, seed=0)
     assert report.passed
     assert report.max_rel_error < 1e-6
 
@@ -36,7 +36,8 @@ def test_scaled_gradient_fails():
     def loss_only(p):
         return fn(p)[0]
 
-    report = grad_check(loss_only, params, analytic_grads=bad, probe_count=3)
+    report = grad_check(loss_only, params, analytic_grads=bad, probe_count=3,
+                        seed=0)
     assert not report.passed
     assert report.worst_param == "x"
 
@@ -51,7 +52,7 @@ def test_float32_params_rejected():
     params32 = {"x": params["x"].astype(np.float32)}
     _, grads = fn(params32)
     with pytest.raises(ValueError, match="float64"):
-        grad_check(lambda p: fn(p)[0], params32, analytic_grads=grads)
+        grad_check(lambda p: fn(p)[0], params32, analytic_grads=grads, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +88,11 @@ def test_injected_bug_fails_only_the_linear_weight(clean_suites):
     assert buggy[0][1].worst_param == "w"
     assert [r.summary() for _, r in buggy[1:]] == \
         [r.summary() for _, r in clean[1:]]
+
+
+def test_maxpool_check_sees_a_scaled_backward(monkeypatch):
+    backward = gradsuite.maxpool3d_backward
+    monkeypatch.setattr(gradsuite, "maxpool3d_backward",
+                        lambda *args: 1.5 * backward(*args))
+    report = gradsuite.check_maxpool(0, threshold=1e-4)
+    assert not report.passed and report.worst_param == "x"

@@ -3,7 +3,8 @@ public function, method and property a library module defines is read by
 some library module.
 
 No linter ships with the project, so these scans are its unused-code checks.
-``__init__.py`` re-exports names on purpose and is left out.
+``__init__.py`` re-exports names on purpose and is left out.  A last scan,
+over every module, pins the number of values a caller can set.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pathlib
 import pytest
 
 import dmsn
+from dmsn import cli
 
 MODULES = sorted(p for p in pathlib.Path(dmsn.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -95,3 +97,57 @@ def test_the_scan_sees_an_unread_definition():
               "    def _private(self):\n        pass\n")
     assert _unread_definitions({"m": ast.parse(source)}) == \
         ["m.K.prop", "m.unused"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    named = (d.func if isinstance(d, ast.Call) else d
+             for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in named)
+
+
+def _not_init(value: ast.expr) -> bool:
+    """``field(..., init=False)``."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant)
+        and k.value.value is False for k in value.keywords)
+
+
+def _settable_values(tree: ast.Module) -> int:
+    """Defaulted parameters of every function, nested and private ones
+    included, plus defaulted dataclass fields that the constructor takes."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            count += len(node.args.defaults) + sum(
+                d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         and not _not_init(s.value) for s in node.body)
+    return count
+
+
+def test_settable_value_count():
+    """Every value a caller can set: the library's defaults and constructor
+    fields, and one per flag of each subcommand (the global ones included).
+
+    Change the pinned number only on purpose, and record the change and the
+    reason in CHANGES.md.
+    """
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in pathlib.Path(dmsn.__file__).parent.glob("*.py")]
+    flags = sum(len(opts) + len(cli.GLOBAL_OPTS)
+                for opts in cli.SUBCOMMANDS.values())
+    assert sum(map(_settable_values, trees)) + flags == 121
+
+
+def test_the_count_sees_defaults_and_init_fields():
+    source = ("from dataclasses import dataclass, field\n"
+              "def f(a, b=1, *, c=2, d):\n"
+              "    def g(e=3):\n        pass\n"
+              "@dataclass(frozen=True)\n"
+              "class K:\n"
+              "    x: int\n    y: int = 0\n"
+              "    z: list = field(default_factory=list)\n"
+              "    w: int = field(default=0, init=False)\n"
+              "class Plain:\n    v: int = 0\n")
+    assert _settable_values(ast.parse(source)) == 5

@@ -23,23 +23,22 @@ def make_video(frames, subject="s1", video="v1", label=2.0, frame_labels=None):
 
 class TestSegmentation:
     def test_35_frames_gives_two_clips(self):
-        clips, short = segment_clips(make_video(35), 16)
-        assert len(clips) == 2 and not short
+        clips = segment_clips(make_video(35), 16)
+        assert len(clips) == 2
         assert [c.clip_index for c in clips] == [0, 1]
 
     def test_exact_fit(self):
-        clips, short = segment_clips(make_video(16), 16)
-        assert len(clips) == 1 and not short
+        clips = segment_clips(make_video(16), 16)
+        assert len(clips) == 1
 
     def test_short_video_warns(self):
-        clips, short = segment_clips(make_video(15), 16)
-        assert clips == [] and short
+        assert segment_clips(make_video(15), 16) == []
 
     def test_concatenated_clips_reproduce_leading_frames(self):
         rng = np.random.default_rng(0)
         video = make_video(37)
         video.frames = rng.normal(size=(3, 37, 4, 4)).astype(np.float32)
-        clips, _ = segment_clips(video, 8)
+        clips = segment_clips(video, 8)
         joined = np.concatenate([c.data for c in clips], axis=1)
         np.testing.assert_array_equal(joined, video.frames[:, :32])
 
@@ -48,7 +47,7 @@ class TestSegmentation:
         for _ in range(25):
             frames = int(rng.integers(1, 60))
             clip_len = int(rng.integers(1, 20))
-            clips, _ = segment_clips(make_video(frames), clip_len)
+            clips = segment_clips(make_video(frames), clip_len)
             assert len(clips) == frames // clip_len
 
 
@@ -84,7 +83,7 @@ class TestClipLabels:
 
     def test_frame_labeled_video_segments_with_labels(self):
         video = make_video(8, frame_labels=[0, 0, 0, 0, 6, 6, 1, 1])
-        clips, _ = segment_clips(video, 4)
+        clips = segment_clips(video, 4)
         assert [c.label for c in clips] == [0.0, 3.0]
 
     def test_empty_rejected(self):
