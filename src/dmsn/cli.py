@@ -167,8 +167,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str) -> dict[str, str]:
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # surrogateescape reads past bytes that are not UTF-8 (as lone
+        # surrogates, which do not encode), so the line holding them is named
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise UsageError(
+                        f"{path}:{lineno}: not UTF-8 text") from None
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue

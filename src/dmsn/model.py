@@ -309,9 +309,9 @@ def save_checkpoint(spec: ModelSpec, params: dict, path) -> None:
 def load_checkpoint(path):
     """Rebuild ``(ModelSpec, params)``; bit-exact with what was saved.
 
-    Parses straight from the open file: each payload is read into the array
-    that is returned, and every length is checked against the file's size
-    before anything is allocated for it.
+    Parses straight from the open file: every payload is read, once, into
+    one buffer of the file's size, and each returned parameter is a view of
+    it.  Every length is checked against the file's size before it is used.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -330,6 +330,21 @@ def load_checkpoint(path):
         shapes = param_shapes(spec)
         (count,) = struct.unpack("<I", _take(fh, 4, size))
         params: dict[str, np.ndarray] = {}
+        # Each payload goes at the next 16-byte aligned offset of one buffer
+        # of the file's size.  It fits: an entry spends at least 37 bytes of
+        # the file outside its payload (name length, a non-empty name and the
+        # tensor header) and alignment adds at most 15 bytes, so no payload
+        # starts later in the buffer than in the file, and the tensor reader
+        # rejects a payload longer than the bytes left in the file.
+        buffer = np.empty(size, np.uint8)
+        end = 0
+
+        def place(shape, dtype):
+            nonlocal end
+            start = -(-end // 16) * 16
+            end = start + math.prod(shape) * dtype.itemsize
+            return buffer[start:end].view(dtype).reshape(shape)
+
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _take(fh, 4, size))
             name = _utf8(_take(fh, name_len, size), "entry name")
@@ -338,7 +353,7 @@ def load_checkpoint(path):
             if name in params:
                 raise CheckpointError(f"duplicate checkpoint entry {name!r}")
             try:
-                blob = tensorfile.tensor_from_stream(fh, size)
+                blob = tensorfile.tensor_from_stream(fh, size, place)
             except tensorfile.TensorFileError as exc:
                 raise CheckpointError(f"entry {name!r}: {exc}") from exc
             if blob.size != math.prod(shapes[name]):

@@ -19,6 +19,19 @@ conv backward gives input and weight gradients, no bias gradient.  At stride
 output gradient's windows with the flipped, channel-swapped kernel, and the
 weight gradient comes from the same windows.  Temporal convs with ``kt > 1``
 and strided convs scatter window gradients tap by tap (:func:`_col2im`).
+
+A window gather (:func:`_taps`: the forward's of ``x``, the backward's of
+``x`` or of the padded ``grad_out``) whose batch would take more than
+``_GATHER_BYTES`` runs a group of whole samples at a time, as many as fit
+the budget and one at least (:func:`_sample_groups`): the desk stem's 7x7x7
+windows are gathered one sample at a time, 2.1 MB each instead of 16.9 MB
+for a batch of 8.  A batch that fits is one group.  The bytes do not depend
+on the grouping.  numpy's batched matmul makes one GEMM call per sample, so
+the groups make the calls the whole batch did, each group writing its samples
+of one preallocated output; the weight gradient adds the per-sample products
+into one accumulator one sample at a time in sample order, the order in
+which a sum over the batch axis adds them.
+
 The max pool forward is separable and keeps only values; its backward makes
 one pass per kernel offset over strided views.  A window holding a NaN pools
 to NaN.
@@ -203,6 +216,45 @@ def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
         1, 4, 2, 0, 3).reshape(n * p, -1)
 
 
+# Bytes one :func:`_taps` gather may take: a batch whose windows take more is
+# gathered, and its GEMMs run, a group of whole samples at a time.
+_GATHER_BYTES = 1 << 22
+
+
+def _sample_groups(xp: np.ndarray, kernel, out_tail) -> list[slice]:
+    """Slices of ``xp``'s samples, in order, each as many whole samples as
+    :func:`_taps` can gather within ``_GATHER_BYTES`` (one at least), so a
+    batch that fits is one slice over it all."""
+    n, c, t_pad = xp.shape[:3]
+    sample = c * kernel[1] * kernel[2] * t_pad * out_tail[1] * out_tail[2]
+    step = max(1, _GATHER_BYTES // (sample * xp.itemsize))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _place(out, part: np.ndarray, s: slice, n: int) -> np.ndarray:
+    """A group's result written to samples ``s`` of the ``n``-sample output,
+    which the first group allocates; a group of all ``n`` samples is the
+    output itself."""
+    if len(part) == n:
+        return part
+    if out is None:
+        out = np.empty((n,) + part.shape[1:], part.dtype)
+    out[s] = part
+    return out
+
+
+def _add_samples(acc, part: np.ndarray) -> np.ndarray:
+    """``acc`` plus the per-sample products ``part[:, i]``, added one sample
+    at a time in sample order, which is how ``part.sum(axis=1)`` adds them:
+    a batch summed in groups gives the bytes of one sum over the batch.
+    ``acc`` None starts the sum."""
+    if acc is None:
+        return part.sum(axis=1)
+    for i in range(part.shape[1]):
+        acc += part[:, i]
+    return acc
+
+
 def _correlate(taps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The forward lowering over the ``(kt, n, c*kh*kw, P)`` taps of
     :func:`_taps`: tap ``dt`` is one GEMM of ``weights[:, :, dt]`` with what
@@ -254,13 +306,19 @@ def conv3d_forward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     every padded frame are gathered once, tap ``dt`` is one GEMM of
     ``weights[:, :, dt]`` with the frames it meets, and the taps' products
     are added in tap order.  At temporal stride 1 each tap is a view of the
-    one gather.  ``bias`` is added per output channel; no model conv has one,
-    and its gradient is ``grad_out`` summed over every axis but channels.
+    one gather.  A batch whose gather would exceed ``_GATHER_BYTES`` is
+    gathered and multiplied a group of whole samples at a time, with the same
+    bytes (:func:`_sample_groups`).  ``bias`` is added per output channel;
+    no model conv has one, and its gradient is ``grad_out`` summed over every
+    axis but channels.
     """
     _check_conv_args(x, spec, weights, bias)
     n, co, to, ho, wo = conv_output_shape(x.shape, spec)
-    y = _correlate(_taps(_pad5(x, spec.padding), spec.kernel, spec.stride,
-                         (to, ho, wo)), weights)
+    xp = _pad5(x, spec.padding)
+    y = None
+    for s in _sample_groups(xp, spec.kernel, (to, ho, wo)):
+        y = _place(y, _correlate(_taps(xp[s], spec.kernel, spec.stride,
+                                       (to, ho, wo)), weights), s, n)
     if counter is not None:
         counter.add(n * spec.weight_count * to * ho * wo)
     if bias is not None:
@@ -300,6 +358,11 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     the padded input gradient tap by tap.  Per-tap GEMMs would triple the
     GEMM calls of the small temporal convs of a desk step, and the flipped
     path would add their taps in reverse order.
+
+    Both paths gather a group of whole samples at a time within
+    ``_GATHER_BYTES`` (:func:`_sample_groups`) and add the per-sample weight
+    gradients in sample order (:func:`_add_samples`), so the bytes do not
+    depend on the grouping.
     """
     _check_conv_args(x, spec, weights, None)
     out_shape = conv_output_shape(x.shape, spec)
@@ -310,24 +373,31 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     kt, kh, kw = spec.kernel
     w = weights.astype(x.dtype, copy=False)
     go = grad_out.astype(x.dtype, copy=False)
-    gx = None
+    gx = gw = None
     flip_pad = _flip_pad(spec)
     if flip_pad is not None:
-        windows = _taps(_pad5(go, flip_pad), spec.kernel, (1, 1, 1),
-                        x.shape[2:])
-        gw = _gemm(x.reshape(n, ci, -1), windows.transpose(0, 1, 3, 2))
-        gw = gw.sum(axis=1).reshape(kt, ci, co, kh, kw).transpose(
+        gop = _pad5(go, flip_pad)
+        x3 = x.reshape(n, ci, -1)
+        flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        for s in _sample_groups(gop, spec.kernel, x.shape[2:]):
+            windows = _taps(gop[s], spec.kernel, (1, 1, 1), x.shape[2:])
+            gw = _add_samples(gw, _gemm(x3[s], windows.transpose(0, 1, 3, 2)))
+            if need_input_grad:
+                gx = _place(gx, _correlate(windows, flipped), s, n)
+            del windows         # before the next group's gather
+        gw = gw.reshape(kt, ci, co, kh, kw).transpose(
             2, 1, 0, 3, 4)[:, :, ::-1, ::-1, ::-1]
         if need_input_grad:
-            flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            gx = _correlate(windows, flipped).reshape(x.shape)
+            gx = gx.reshape(x.shape)
     else:
         go3 = go.reshape(n, co, -1)
-        taps = _taps(_pad5(x, spec.padding), spec.kernel, spec.stride,
-                     (to, ho, wo))
-        # taps @ go.T, the transpose of go @ taps.T, puts the window rows on
-        # the GEMM's long side: twice as fast for the stem.
-        gw = _gemm(taps, go3.transpose(0, 2, 1)).sum(axis=1)
+        xp = _pad5(x, spec.padding)
+        for s in _sample_groups(xp, spec.kernel, (to, ho, wo)):
+            # taps @ go.T, the transpose of go @ taps.T, puts the window rows
+            # on the GEMM's long side: twice as fast for the stem.
+            gw = _add_samples(gw, _gemm(
+                _taps(xp[s], spec.kernel, spec.stride, (to, ho, wo)),
+                go3[s].transpose(0, 2, 1)))
         gw = gw.reshape(kt, ci, kh, kw, co).transpose(4, 1, 0, 2, 3)
         if need_input_grad:
             gx = _col2im(_gemm(w.reshape(co, -1).T, go3), x.shape, spec.kernel,

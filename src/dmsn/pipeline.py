@@ -336,8 +336,14 @@ def load_manifest(path) -> ClipDataset:
     base = os.path.dirname(path) or "."
     clips = []
     clip_len = frame = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape reads past bytes that are not UTF-8 (as lone
+    # surrogates, which do not encode), so the line holding them is named
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ManifestError(f"line {lineno}: not UTF-8 text") from None
             line = line.rstrip("\n")
             if not line:
                 continue

@@ -6,7 +6,9 @@ little-endian IEEE floats.  Round trips are bit-exact.
 
 Tensors stream to and from open files: the writer hands the array's own buffer
 to ``write`` and the reader fills the array it returns with ``readinto``, so
-neither holds a second copy of the payload.
+neither holds a second copy of the payload.  The reader takes that array from
+its caller's allocator: ``np.empty`` gives each tensor its own buffer, and a
+checkpoint places every entry in one buffer of its own.
 """
 
 from __future__ import annotations
@@ -49,13 +51,15 @@ def tensor_to_stream(stream: io.BufferedIOBase, arr: np.ndarray) -> None:
     stream.write(memoryview(payload).cast("B"))
 
 
-def tensor_from_stream(stream: io.BufferedIOBase, size: int) -> np.ndarray:
+def tensor_from_stream(stream: io.BufferedIOBase, size: int,
+                       allocate) -> np.ndarray:
     """Read one tensor from a stream of ``size`` bytes, leaving it after the
     payload.
 
-    Extents are checked before the array is allocated: a zero extent, or a
-    payload longer than what is left of the ``size`` bytes, is a
-    ``TensorFileError``.
+    ``allocate(shape, dtype)`` returns the writable C-contiguous array the
+    payload is read into, as ``np.empty`` does.  Extents are checked before
+    it is called: a zero extent, or a payload longer than what is left of
+    the ``size`` bytes, is a ``TensorFileError``.
     """
     raw = stream.read(_HEADER.size)
     if len(raw) < _HEADER.size:
@@ -76,7 +80,7 @@ def tensor_from_stream(stream: io.BufferedIOBase, size: int) -> np.ndarray:
     if nbytes > remaining:
         raise TensorFileError(f"truncated payload: shape {shape} needs "
                               f"{nbytes} bytes, {remaining} remain")
-    data = np.empty(shape, dtype=dtype)
+    data = allocate(shape, dtype)
     got = stream.readinto(memoryview(data).cast("B"))
     if got != nbytes:
         raise TensorFileError(f"truncated payload: shape {shape} needs "
@@ -92,4 +96,4 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return tensor_from_stream(fh, os.fstat(fh.fileno()).st_size)
+        return tensor_from_stream(fh, os.fstat(fh.fileno()).st_size, np.empty)

@@ -202,6 +202,15 @@ class TestConfigOverlay:
         assert code == 2 and out == ""
         assert "run.cfg:2" in err and "'config'" in err
 
+    def test_non_utf8_config_line_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"frames=8\n\xff\xfe\tbad\n")
+        table = tmp_path / "count.txt"
+        code, out, err = run(capsys, "count", "--config", str(cfg),
+                             "--out", str(table))
+        assert code == 2 and out == "" and not table.exists()
+        assert f"usage error: {cfg}:2: not UTF-8 text" in err
+
     def test_missing_config_file_fails(self, capsys):
         code, _, err = run(capsys, "describe", "--config", "/nonexistent.cfg")
         assert code == 1 and "config" in err

@@ -289,6 +289,39 @@ class TestCheckpoint:
             assert params2[name].shape == params[name].shape
             assert params2[name].tobytes() == params[name].tobytes()
 
+    def test_payloads_are_aligned_views_of_one_buffer(self, tmp_path,
+                                                      monkeypatch):
+        """600 one-element entries under two- to four-byte names, the most
+        alignment padding per file byte a checkpoint can hold: every payload
+        still fits the one file-sized buffer, at a 16-byte offset."""
+        spec, _, _ = micro_setup(seed=23)
+        rng = np.random.default_rng(23)
+        values = {f"p{i}": rng.normal(size=(1,)).astype(
+            np.float64 if i % 3 == 0 else np.float32) for i in range(600)}
+        monkeypatch.setattr("dmsn.model.param_shapes",
+                            lambda _: {name: (1,) for name in values})
+        raw = _checkpoint_bytes(config_to_text(spec.config),
+                                [(name.encode(), values[name])
+                                 for name in values])
+        _, loaded = _load(tmp_path, raw)
+
+        def root(arr):
+            while arr.base is not None:
+                arr = arr.base
+            return arr
+
+        buffer = root(loaded["p0"])
+        assert buffer.dtype == np.uint8 and buffer.nbytes == len(raw)
+        offsets = []
+        for name, value in values.items():
+            got = loaded[name]
+            assert root(got) is buffer
+            assert got.dtype == value.dtype
+            assert got.tobytes() == value.tobytes()
+            offsets.append(got.ctypes.data - buffer.ctypes.data)
+        assert all(offset % 16 == 0 for offset in offsets)
+        assert offsets == sorted(set(offsets))
+
     def test_corrupted_magic_rejected(self, tmp_path):
         spec, params, _ = micro_setup(seed=10)
         path = tmp_path / "model.ckpt"

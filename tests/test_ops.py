@@ -203,6 +203,57 @@ def _check_adjoint(spec, x, w, rng):
                                                                    rhs)
 
 
+# Batches of 5, gathered one sample at a time and two at a time (2 + 2 + 1:
+# the middle group tells a sample-by-sample weight-gradient sum from a
+# group-by-group one, and the last group is short): the desk stem's geometry,
+# a temporal (3, 1, 1) conv, a stride-2 pointwise conv and every
+# FLOAT32_CASES geometry.
+GROUPED_CASES = [
+    (ConvLayerSpec(3, 8, (7, 7, 7), (1, 2, 2), (3, 3, 3)), (5, 3, 8, 16, 16)),
+    (ConvLayerSpec(6, 5, (3, 1, 1), padding=(1, 0, 0)), (5, 6, 6, 4, 4)),
+    (ConvLayerSpec(6, 10, (1, 1, 1), (2, 2, 2)), (5, 6, 4, 6, 6)),
+] + [(spec, (5,) + x_shape[1:]) for spec, x_shape in FLOAT32_CASES]
+
+
+class TestGroupedGathers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec,x_shape", GROUPED_CASES)
+    def test_groups_give_the_bytes_of_one_gather(self, monkeypatch, spec,
+                                                 x_shape, dtype):
+        rng = np.random.default_rng(sum(x_shape) + 3)
+        x = rng.normal(size=x_shape).astype(dtype)
+        w = rng.normal(size=spec.weight_shape)
+        go = rng.normal(size=ops.conv_output_shape(x_shape, spec))
+        go = go.astype(dtype)
+        real = ops._sample_groups
+
+        def run():
+            y = ops.conv3d_forward(x, spec, w)
+            gx, gw = ops.conv3d_backward(x, spec, w, go)
+            none, gw_alone = ops.conv3d_backward(x, spec, w, go,
+                                                 need_input_grad=False)
+            assert none is None
+            return [a.tobytes() for a in (y, gx, gw, gw_alone)]
+
+        monkeypatch.setattr(ops, "_GATHER_BYTES", 1 << 62)
+        whole = run()
+        for size in (1, 2):
+            def budgeted(xp, kernel, out_tail):
+                """The budget of ``size`` samples' windows: ``c*kh*kw`` rows
+                over every padded frame at each output (h, w) position."""
+                n, c, t_pad = xp.shape[:3]
+                monkeypatch.setattr(ops, "_GATHER_BYTES", size * xp.itemsize
+                                    * c * kernel[1] * kernel[2] * t_pad
+                                    * out_tail[1] * out_tail[2])
+                groups = real(xp, kernel, out_tail)
+                assert [len(range(n)[s]) for s in groups] == [
+                    min(size, n - i) for i in range(0, n, size)]
+                return groups
+
+            monkeypatch.setattr(ops, "_sample_groups", budgeted)
+            assert run() == whole, f"groups of {size}"
+
+
 class TestFloat32Compute:
     @pytest.mark.parametrize("spec,x_shape", FLOAT32_CASES)
     def test_forward_matches_oracle(self, spec, x_shape):

@@ -284,6 +284,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line 1"):
             load_manifest(path)
 
+    def test_non_utf8_line_cites_line_number(self, tmp_path):
+        write_tensor(tmp_path / "x.dmsn",
+                     np.zeros((1, 3, 4, 8, 8), np.float32))
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"s1\tv1\t0\tx.dmsn\t1.0\n\xff\xfe\tbad\n")
+        with pytest.raises(ManifestError, match="^line 2: not UTF-8 text$"):
+            load_manifest(path)
+
 
     def _manifest_of(self, tmp_path, shapes):
         """A manifest whose line ``i`` points at a zero tensor of ``shapes[i]``."""

@@ -1,10 +1,12 @@
 """Losses, optimizer updates, schedules, and the training loop."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dmsn import ops
 from dmsn.model import ModelConfig, build_model, init_params
 from dmsn.pipeline import SynthConfig, synth_generate
 from dmsn.training import (SCHEDULES, SGD_MOMENTUM, WEIGHT_DECAY, TrainConfig,
@@ -350,3 +352,53 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="batch_size must be at least 1"):
             predict_scores(spec, init_params(spec), clips,
                            batch_size=batch_size)
+
+
+class TestDeskStep:
+    """One step at the train-desk benchmark's shapes: Adam and MSE on a batch
+    of 8 3x8x32x32 clips, model ``dmsn`` at width 1/8 with 4 branches."""
+
+    @pytest.fixture
+    def desk(self):
+        spec = build_model(ModelConfig(
+            clip_len=8, input_size=(32, 32), branch_count=4,
+            width_multiplier=Fraction(1, 8), seed=1))
+        rng = np.random.default_rng(1)
+        clips = rng.normal(size=(8, 3, 8, 32, 32)).astype(np.float32)
+        labels = rng.uniform(0.0, 4.0, size=8)
+        state = init_optimizer("adam", 1e-3)
+        params, _ = train_step(spec, init_params(spec), clips, labels, state,
+                               "mse")
+        return spec, params, clips, labels, state
+
+    def test_transient_memory_is_bounded(self, desk):
+        """The peak a warm step allocates above what it held before.  With
+        the stem's windows gathered for all 8 samples at once (16.9 MB, in
+        the forward and again for the weight gradient) it read 30.8 MB; one
+        sample at a time it reads 16.1 MB.  24 MB lies between the two, ~8 MB
+        from each."""
+        spec, params, clips, labels, state = desk
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_step(spec, params, clips, labels, state, "mse")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, f"{peak / 1e6:.1f} MB"
+
+    def test_only_the_stem_gathers_in_groups(self, desk, monkeypatch):
+        spec, params, clips, labels, state = desk
+        real, groups = ops._sample_groups, []
+
+        def spy(xp, kernel, out_tail):
+            groups.append((kernel, len(real(xp, kernel, out_tail))))
+            return real(xp, kernel, out_tail)
+
+        monkeypatch.setattr(ops, "_sample_groups", spy)
+        train_step(spec, params, clips, labels, state, "mse")
+        split = [(kernel, count) for kernel, count in groups if count > 1]
+        # the stem's forward, and its weight gradient's gather of x
+        assert split == [((7, 7, 7), 8)] * 2
+        assert len(groups) > 100
