@@ -235,7 +235,9 @@ def unit_forward(name: str, conv: ConvLayerSpec, act: bool, params, x,
 
 def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
                   grad, grads_out: dict, need_input_grad: bool = True):
-    x, bn_cache, out = cache[name]
+    """The unit's backward; adds its parameter gradients to ``grads_out``,
+    returns its input gradient and removes its ``cache`` entry."""
+    x, bn_cache, out = cache.pop(name)
     if act:
         grad = relu_backward(out, grad)
     grad, gscale, gshift = batchnorm_backward(
@@ -272,7 +274,8 @@ def block_forward(spec: BlockSpec, params, x: np.ndarray,
 def _walk_back(graph, params, cache, start: str, grad: np.ndarray):
     """Backward from step ``start`` seeded with ``grad``, skipping the steps
     it does not reach and summing the gradients that reach each source;
-    returns ``(grad_x, grads)``."""
+    returns ``(grad_x, grads)``.  Each step's ``cache`` entry is removed once
+    read."""
     widths = {step[0]: step[1].out_channels for step in graph[:-1]}
     grads: dict[str, np.ndarray] = {}
     pending = {start: grad}
@@ -281,7 +284,7 @@ def _walk_back(graph, params, cache, start: str, grad: np.ndarray):
         if g is None:
             continue
         if conv is None:
-            parts = [relu_backward(cache[name], g)] * len(sources)
+            parts = [relu_backward(cache.pop(name), g)] * len(sources)
         else:
             g = unit_backward(name, conv, act, params, cache, g, grads)
             parts = [g] if len(sources) == 1 else split_channels(
@@ -294,7 +297,8 @@ def _walk_back(graph, params, cache, start: str, grad: np.ndarray):
 
 def block_backward(spec: BlockSpec, params, cache, grad_y: np.ndarray,
                    prefix: str = ""):
-    """Gradients through one block; returns ``(grad_x, grads)``."""
+    """Gradients through one block; returns ``(grad_x, grads)``.  Consumes
+    the block's entries of ``cache``."""
     return _walk_back(block_graph(spec, prefix), params, cache,
                       f"{prefix}sum", grad_y)
 

@@ -10,9 +10,10 @@ widths can be scaled by a rational ``width_multiplier`` for desk-scale runs.
 from __future__ import annotations
 
 import functools
-import io
 import math
+import mmap
 import os
+import secrets
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,7 +220,13 @@ def model_forward(spec: ModelSpec, params: dict, clip: np.ndarray,
 
 def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
                         grad_scores: np.ndarray) -> dict[str, np.ndarray]:
-    flat, (n, c, t, h, w) = cache["head"]
+    """Parameter gradients of ``grad_scores`` through the forward that filled
+    ``cache``.
+
+    The cache is consumed: each entry is removed once its backward has read
+    it, so every layer's activations are freed as the walk passes them.
+    """
+    flat, (n, c, t, h, w) = cache.pop("head")
     if grad_scores.shape != (n,):
         raise ShapeError(f"grad_scores shape {grad_scores.shape}, expected ({n},)")
     grads: dict[str, np.ndarray] = {}
@@ -236,7 +243,7 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
             g, block_grads = block_backward(layer, params, cache, g, name)
             grads.update(block_grads)
         elif kind == "maxpool":
-            g = maxpool3d_backward(g, *cache[name])
+            g = maxpool3d_backward(g, *cache.pop(name))
         else:
             # the stem's input gradient has no consumer
             unit_backward(name, layer, True, params, cache, g, grads,
@@ -290,94 +297,105 @@ def _pad_shape5(shape: tuple) -> tuple:
 
 
 def save_checkpoint(spec: ModelSpec, params: dict, path) -> None:
+    """Write the checkpoint to a new file beside ``path``, then rename it onto
+    ``path``.
+
+    The file at ``path`` is never truncated: arrays loaded from it keep
+    mapping the old bytes, and a save that fails partway leaves it as it
+    was.  A failed save removes its new file.
+    """
+    directory, base = os.path.split(os.fspath(path))
+    temp = os.path.join(directory, f".{base}.{secrets.token_hex(8)}.tmp")
+    # O_EXCL never reuses an existing file; the umask applies to 0o666, as
+    # it does for open(path, "wb")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     names = sorted(params)
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        cfg = config_to_text(spec.config).encode("utf-8")
-        fh.write(struct.pack("<I", len(cfg)))
-        fh.write(cfg)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            arr = params[name]
-            tensorfile.tensor_to_stream(fh, arr.reshape(_pad_shape5(arr.shape)))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<I", CKPT_VERSION))
+            cfg = config_to_text(spec.config).encode("utf-8")
+            fh.write(struct.pack("<I", len(cfg)))
+            fh.write(cfg)
+            fh.write(struct.pack("<I", len(names)))
+            for name in names:
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                arr = params[name]
+                tensorfile.tensor_to_stream(
+                    fh, arr.reshape(_pad_shape5(arr.shape)))
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def load_checkpoint(path):
     """Rebuild ``(ModelSpec, params)``; bit-exact with what was saved.
 
-    Parses straight from the open file: every payload is read, once, into
-    one buffer of the file's size, and each returned parameter is a view of
-    it.  Every length is checked against the file's size before it is used.
+    The file is mapped once, copy-on-write, and parsed from the mapping:
+    every returned parameter is a view of it at its payload's offset, so no
+    payload is read or copied.  The arrays are writable, and writing one
+    never reaches the file.  Every length is checked against the file's
+    size before it is used.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise CheckpointError("bad checkpoint magic bytes")
-        (version,) = struct.unpack("<I", _take(fh, 4, size))
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _take(fh, 4, size))
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    size = len(mapping)
+    mapping.seek(len(CKPT_MAGIC))
+    (version,) = struct.unpack("<I", _take(mapping, 4))
+    if version != CKPT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (cfg_len,) = struct.unpack("<I", _take(mapping, 4))
+    try:
+        spec = build_model(config_from_text(
+            _utf8(_take(mapping, cfg_len), "config text")))
+    except (ConfigError, BlockConfigError) as exc:
+        raise CheckpointError(f"the model rejects the checkpoint config: "
+                              f"{exc}") from exc
+    shapes = param_shapes(spec)
+    (count,) = struct.unpack("<I", _take(mapping, 4))
+    params: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", _take(mapping, 4))
+        name = _utf8(_take(mapping, name_len), "entry name")
+        if name not in shapes:
+            raise CheckpointError(f"checkpoint entry {name!r} not in model")
+        if name in params:
+            raise CheckpointError(f"duplicate checkpoint entry {name!r}")
         try:
-            spec = build_model(config_from_text(
-                _utf8(_take(fh, cfg_len, size), "config text")))
-        except (ConfigError, BlockConfigError) as exc:
-            raise CheckpointError(f"the model rejects the checkpoint config: "
-                                  f"{exc}") from exc
-        shapes = param_shapes(spec)
-        (count,) = struct.unpack("<I", _take(fh, 4, size))
-        params: dict[str, np.ndarray] = {}
-        # Each payload goes at the next 16-byte aligned offset of one buffer
-        # of the file's size.  It fits: an entry spends at least 37 bytes of
-        # the file outside its payload (name length, a non-empty name and the
-        # tensor header) and alignment adds at most 15 bytes, so no payload
-        # starts later in the buffer than in the file, and the tensor reader
-        # rejects a payload longer than the bytes left in the file.
-        buffer = np.empty(size, np.uint8)
-        end = 0
-
-        def place(shape, dtype):
-            nonlocal end
-            start = -(-end // 16) * 16
-            end = start + math.prod(shape) * dtype.itemsize
-            return buffer[start:end].view(dtype).reshape(shape)
-
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _take(fh, 4, size))
-            name = _utf8(_take(fh, name_len, size), "entry name")
-            if name not in shapes:
-                raise CheckpointError(f"checkpoint entry {name!r} not in model")
-            if name in params:
-                raise CheckpointError(f"duplicate checkpoint entry {name!r}")
-            try:
-                blob = tensorfile.tensor_from_stream(fh, size, place)
-            except tensorfile.TensorFileError as exc:
-                raise CheckpointError(f"entry {name!r}: {exc}") from exc
-            if blob.size != math.prod(shapes[name]):
-                raise CheckpointError(f"entry {name!r} holds {blob.size} "
-                                      f"values, the model's shape is "
-                                      f"{shapes[name]}")
-            params[name] = blob.reshape(shapes[name])
-        if fh.tell() != size:
-            raise CheckpointError(f"{size - fh.tell()} bytes after the "
-                                  f"last checkpoint entry")
+            blob = tensorfile.tensor_from_stream(mapping, size, _mapped_view)
+        except tensorfile.TensorFileError as exc:
+            raise CheckpointError(f"entry {name!r}: {exc}") from exc
+        if blob.size != math.prod(shapes[name]):
+            raise CheckpointError(f"entry {name!r} holds {blob.size} "
+                                  f"values, the model's shape is "
+                                  f"{shapes[name]}")
+        params[name] = blob.reshape(shapes[name])
+    if mapping.tell() != size:
+        raise CheckpointError(f"{size - mapping.tell()} bytes after the "
+                              f"last checkpoint entry")
     missing = set(shapes) - set(params)
     if missing:
         raise CheckpointError(f"checkpoint missing entries: {sorted(missing)[:3]}...")
     return spec, params
 
 
-def _take(stream: io.BufferedIOBase, count: int, size: int) -> bytes:
-    """The next ``count`` bytes of a ``size``-byte file.
+def _mapped_view(mapping: mmap.mmap, shape: tuple,
+                 dtype: np.dtype) -> np.ndarray:
+    """The mapping's next payload as a view of it; moves past the payload."""
+    start = mapping.tell()
+    mapping.seek(start + math.prod(shape) * dtype.itemsize)
+    return np.ndarray(shape, dtype, buffer=mapping, offset=start)
 
-    A count beyond the file's size fails before ``read`` allocates for it.
-    """
-    if count > size:
-        raise CheckpointError("truncated checkpoint")
-    raw = stream.read(count)
+
+def _take(mapping: mmap.mmap, count: int) -> bytes:
+    """The mapping's next ``count`` bytes; ``read`` never returns more than
+    the file holds."""
+    raw = mapping.read(count)
     if len(raw) != count:
         raise CheckpointError("truncated checkpoint")
     return raw

@@ -5,10 +5,11 @@ Layout: magic ``DMSN``, format version (u32 LE), dtype code (u32 LE; 0 = f32,
 little-endian IEEE floats.  Round trips are bit-exact.
 
 Tensors stream to and from open files: the writer hands the array's own buffer
-to ``write`` and the reader fills the array it returns with ``readinto``, so
-neither holds a second copy of the payload.  The reader takes that array from
-its caller's allocator: ``np.empty`` gives each tensor its own buffer, and a
-checkpoint places every entry in one buffer of its own.
+to ``write``, so it holds no second copy of the payload.  The reader parses and
+checks the header, then asks its caller for the payload: ``read_payload``
+fills a new array with ``readinto`` (a lone tensor file, a manifest's clips),
+and a checkpoint returns a view of its copy-on-write file mapping, so its
+payloads are never copied at all.
 """
 
 from __future__ import annotations
@@ -52,14 +53,15 @@ def tensor_to_stream(stream: io.BufferedIOBase, arr: np.ndarray) -> None:
 
 
 def tensor_from_stream(stream: io.BufferedIOBase, size: int,
-                       allocate) -> np.ndarray:
+                       take) -> np.ndarray:
     """Read one tensor from a stream of ``size`` bytes, leaving it after the
     payload.
 
-    ``allocate(shape, dtype)`` returns the writable C-contiguous array the
-    payload is read into, as ``np.empty`` does.  Extents are checked before
-    it is called: a zero extent, or a payload longer than what is left of
-    the ``size`` bytes, is a ``TensorFileError``.
+    ``take(stream, shape, dtype)`` returns the payload that follows the
+    header, as an array of that shape and dtype, and leaves the stream after
+    it; ``read_payload`` is the one for open files.  Extents are checked
+    before it is called: a zero extent, or a payload longer than what is
+    left of the ``size`` bytes, is a ``TensorFileError``.
     """
     raw = stream.read(_HEADER.size)
     if len(raw) < _HEADER.size:
@@ -80,13 +82,21 @@ def tensor_from_stream(stream: io.BufferedIOBase, size: int,
     if nbytes > remaining:
         raise TensorFileError(f"truncated payload: shape {shape} needs "
                               f"{nbytes} bytes, {remaining} remain")
-    data = allocate(shape, dtype)
-    got = stream.readinto(memoryview(data).cast("B"))
-    if got != nbytes:
-        raise TensorFileError(f"truncated payload: shape {shape} needs "
-                              f"{nbytes} bytes, read {got}")
+    data = take(stream, shape, dtype)
     # a no-op on little-endian hosts; big-endian ones swap once to native
     return data if dtype.isnative else data.astype(dtype.newbyteorder("="))
+
+
+def read_payload(stream: io.BufferedIOBase, shape: tuple,
+                 dtype: np.dtype) -> np.ndarray:
+    """The stream's next ``shape`` x ``dtype`` payload, read into a new array
+    with ``readinto``; a short read is a ``TensorFileError``."""
+    data = np.empty(shape, dtype)
+    got = stream.readinto(memoryview(data).cast("B"))
+    if got != data.nbytes:
+        raise TensorFileError(f"truncated payload: shape {shape} needs "
+                              f"{data.nbytes} bytes, read {got}")
+    return data
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
@@ -96,4 +106,5 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return tensor_from_stream(fh, os.fstat(fh.fileno()).st_size, np.empty)
+        return tensor_from_stream(fh, os.fstat(fh.fileno()).st_size,
+                                  read_payload)

@@ -1,13 +1,21 @@
 """Architecture assembly, whole-model execution, checkpoints."""
 
 import collections
+import hashlib
 import io
+import mmap
+import os
+import stat
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dmsn import tensorfile
 from dmsn.blocks import RunState
 from dmsn.model import (CheckpointError, ConfigError, ModelConfig,
                         backward_from_cache, build_model, config_from_text,
@@ -15,7 +23,9 @@ from dmsn.model import (CheckpointError, ConfigError, ModelConfig,
                         init_params, load_checkpoint, model_forward,
                         model_plan, param_shapes, save_checkpoint)
 from dmsn.ops import ShapeError
-from dmsn.tensorfile import tensor_to_stream
+from dmsn.tensorfile import TensorFileError, tensor_to_stream
+
+SRC = str(Path(tensorfile.__file__).resolve().parents[1])
 
 MICRO = ModelConfig(clip_len=8, input_size=(32, 32),
                     width_multiplier=Fraction(1, 8))
@@ -217,6 +227,14 @@ class TestForwardBackward:
         grads = backward_from_cache(spec, params, state.cache, np.zeros(2))
         assert all(np.all(g == 0) for g in grads.values())
 
+    def test_backward_consumes_the_cache(self):
+        spec, params, clip = micro_setup(seed=7, batch=8)
+        state = RunState(mode="train", cache={})
+        forward_with_state(spec, params, clip.astype(np.float32), state)
+        assert len(state.cache) > 100
+        backward_from_cache(spec, params, state.cache, np.ones(8))
+        assert state.cache == {}
+
     def test_temporal_head_distributes_mean_gradient(self):
         spec, params, clip = micro_setup(seed=5)
         state = RunState(mode="eval", cache={})
@@ -289,11 +307,12 @@ class TestCheckpoint:
             assert params2[name].shape == params[name].shape
             assert params2[name].tobytes() == params[name].tobytes()
 
-    def test_payloads_are_aligned_views_of_one_buffer(self, tmp_path,
-                                                      monkeypatch):
-        """600 one-element entries under two- to four-byte names, the most
-        alignment padding per file byte a checkpoint can hold: every payload
-        still fits the one file-sized buffer, at a 16-byte offset."""
+    def test_payloads_are_views_of_one_file_mapping(self, tmp_path,
+                                                    monkeypatch):
+        """600 one-element entries under two- to four-byte names: every
+        parameter is a writable view of one copy-on-write mapping of the
+        file at its payload's offset, and writing them leaves the file as it
+        was."""
         spec, _, _ = micro_setup(seed=23)
         rng = np.random.default_rng(23)
         values = {f"p{i}": rng.normal(size=(1,)).astype(
@@ -303,24 +322,93 @@ class TestCheckpoint:
         raw = _checkpoint_bytes(config_to_text(spec.config),
                                 [(name.encode(), values[name])
                                  for name in values])
-        _, loaded = _load(tmp_path, raw)
+        path = tmp_path / "many.ckpt"
+        path.write_bytes(raw)
+        _, loaded = load_checkpoint(path)
 
         def root(arr):
-            while arr.base is not None:
+            while isinstance(arr, np.ndarray):
                 arr = arr.base
             return arr
 
-        buffer = root(loaded["p0"])
-        assert buffer.dtype == np.uint8 and buffer.nbytes == len(raw)
-        offsets = []
+        mapping = root(loaded["p0"])
+        assert isinstance(mapping, mmap.mmap) and len(mapping) == len(raw)
+        start = np.frombuffer(mapping, np.uint8).ctypes.data
         for name, value in values.items():
             got = loaded[name]
-            assert root(got) is buffer
-            assert got.dtype == value.dtype
-            assert got.tobytes() == value.tobytes()
-            offsets.append(got.ctypes.data - buffer.ctypes.data)
-        assert all(offset % 16 == 0 for offset in offsets)
-        assert offsets == sorted(set(offsets))
+            assert root(got) is mapping
+            assert got.dtype == value.dtype and got.flags.writeable
+            # the payload follows the name's length, the name and the header
+            at = (raw.index(struct.pack("<I", len(name)) + name.encode()
+                            + tensorfile.MAGIC)
+                  + 4 + len(name) + tensorfile._HEADER.size)
+            assert got.ctypes.data - start == at
+            assert got.tobytes() == value.tobytes() == raw[at:at + got.nbytes]
+        for got in loaded.values():
+            got[...] = 7.0
+        assert loaded["p5"][0] == 7.0
+        assert (hashlib.sha256(path.read_bytes()).digest()
+                == hashlib.sha256(raw).digest())
+        assert load_checkpoint(path)[1]["p5"].tobytes() == values["p5"].tobytes()
+
+    def test_save_over_the_loaded_file(self, tmp_path):
+        """Saving onto the file the loaded arrays map replaces it rather than
+        truncating it under them, which would kill the process with SIGBUS;
+        so the script runs in a child process."""
+        script = """
+import sys
+from fractions import Fraction
+from dmsn.model import (ModelConfig, build_model, init_params,
+                        load_checkpoint, save_checkpoint)
+spec = build_model(ModelConfig(clip_len=8, input_size=(32, 32),
+                               width_multiplier=Fraction(1, 8)))
+params = init_params(spec, seed=24)
+path = sys.argv[1]
+save_checkpoint(spec, params, path)
+spec2, loaded = load_checkpoint(path)
+save_checkpoint(spec2, loaded, path)
+spec3, again = load_checkpoint(path)
+assert spec3 == spec2 == spec and again.keys() == params.keys()
+for name, arr in params.items():
+    assert loaded[name].tobytes() == again[name].tobytes() == arr.tobytes()
+print("same bytes", len(again))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "model.ckpt")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        assert done.stdout.startswith("same bytes ")
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        """A float16 entry sorted last fails after every other entry was
+        written: the old checkpoint stays, and no temporary file is left."""
+        spec, params, _ = micro_setup(seed=25)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(spec, params, path)
+        before = path.read_bytes()
+        last = max(params)
+        bad = {**params, last: params[last].astype(np.float16)}
+        with pytest.raises(TensorFileError, match="float16"):
+            save_checkpoint(spec, bad, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_saved_file_mode_follows_the_umask(self, tmp_path):
+        spec, params, _ = micro_setup(seed=26)
+        old = os.umask(0o027)
+        try:
+            save_checkpoint(spec, params, tmp_path / "model.ckpt")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "model.ckpt").stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("size", [0, 7])
+    def test_short_file_is_checkpoint_error(self, tmp_path, size):
+        with pytest.raises(CheckpointError, match="magic"):
+            _load(tmp_path, b"DMSNCKPT"[:size])
 
     def test_corrupted_magic_rejected(self, tmp_path):
         spec, params, _ = micro_setup(seed=10)

@@ -82,14 +82,16 @@ def test_huge_extents_rejected_before_payload():
     raw = _header(*[2 ** 32 - 1] * 5) + b"\0" * 64
     stream = io.BytesIO(raw)
     with pytest.raises(tensorfile.TensorFileError, match="truncated"):
-        tensorfile.tensor_from_stream(stream, len(raw), np.empty)
+        tensorfile.tensor_from_stream(stream, len(raw),
+                                      tensorfile.read_payload)
     assert stream.tell() == tensorfile._HEADER.size
 
 
 def test_zero_extent_rejected():
     with pytest.raises(tensorfile.TensorFileError, match="zero extent"):
         tensorfile.tensor_from_stream(io.BytesIO(_header(0, 1, 1, 1, 1)),
-                                      tensorfile._HEADER.size, np.empty)
+                                      tensorfile._HEADER.size,
+                                      tensorfile.read_payload)
 
 
 def test_zero_extent_write_rejected_before_header():
@@ -126,4 +128,4 @@ def test_short_read_is_truncated_payload():
     size = stream.tell()
     stream.seek(0)
     with pytest.raises(tensorfile.TensorFileError, match="truncated payload"):
-        tensorfile.tensor_from_stream(stream, size, np.empty)
+        tensorfile.tensor_from_stream(stream, size, tensorfile.read_payload)

@@ -388,6 +388,21 @@ class TestDeskStep:
             tracemalloc.stop()
         assert peak < 24e6, f"{peak / 1e6:.1f} MB"
 
+    def test_backward_frees_the_forward_cache(self, desk):
+        """The same peak with the backward removing each forward cache entry
+        once read: 16.1 MB while every entry stayed alive until the step
+        returned, 9.7 MB now.  13 MB lies between, ~3 MB from each."""
+        spec, params, clips, labels, state = desk
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_step(spec, params, clips, labels, state, "mse")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6, f"{peak / 1e6:.1f} MB"
+
     def test_only_the_stem_gathers_in_groups(self, desk, monkeypatch):
         spec, params, clips, labels, state = desk
         real, groups = ops._sample_groups, []
