@@ -12,6 +12,9 @@ spatial) the Main Stage and the branches operate on:
 
 Every conv is followed by batchnorm, and by a rectifier except the fusion conv
 and the shortcut projection, whose sum is rectified once.
+
+``block_graph`` lists a block's steps and ``model.model_plan`` the model's, in
+one format; one forward walk and one reverse walk run both.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ops import (ConvLayerSpec, MacCounter, ShapeError, batchnorm_backward,
-                  batchnorm_eval_inplace, batchnorm_forward, check_tensor5,
-                  concat_channels, conv3d_backward, conv3d_forward,
-                  conv_output_shape, relu_backward, relu_forward,
+from .ops import (ConvLayerSpec, MacCounter, ShapeError, avgpool_spatial,
+                  avgpool_spatial_backward, batchnorm_backward,
+                  batchnorm_eval_inplace, batchnorm_forward, concat_channels,
+                  conv3d_backward, conv3d_forward, conv_output_shape,
+                  linear_backward, linear_forward, maxpool3d,
+                  maxpool3d_backward, relu_backward, relu_forward,
                   split_channels)
 
 VARIANTS = ("A", "B", "C")
@@ -152,55 +157,57 @@ class RunState:
     counter: MacCounter | None = None
 
 
-INPUT = "input"  # graph source naming the block input
+INPUT = "input"  # graph source naming the walk's input
+# step ops: a batch-normalized conv unit, rectified or not, and the join
+CONV_BN_RELU, CONV_BN, ADD_RELU = "conv+bn+relu", "conv+bn", "add+relu"
+UNIT_OPS = (CONV_BN_RELU, CONV_BN)
 
 
 @functools.lru_cache(maxsize=256)
 def block_graph(spec: BlockSpec, prefix: str = "", x_shape=None) -> tuple:
-    """A block's steps in execution order as ``(name, conv, act, sources,
-    out_shape)``.
+    """A block's steps in execution order as ``(name, op, layer, sources,
+    out_shape)``, the format the walks run.
 
     ``sources`` names what a step reads: ``INPUT`` or earlier steps, several
-    of which are concatenated along channels in that order.  Every conv unit
-    is batch-normalized; ``act`` says whether a rectifier follows.  The last
-    step, ``{prefix}sum``, has no conv: it adds the fusion output and the
-    shortcut (the block input, or ``proj`` when the block has a projection)
-    and rectifies the sum.  ``out_shape`` is the step's output shape for
-    block input ``x_shape``, or None when no shape is given.
+    of which are concatenated along channels in that order.  A conv unit's
+    layer is its ConvLayerSpec; the fusion conv and the projection are not
+    rectified.  The last step, ``{prefix}sum``, adds the fusion output and
+    the shortcut (the block input, or ``proj``) and rectifies the sum.
+    ``out_shape`` is the step's output shape for block input ``x_shape``, or
+    None when no shape is given; a bad shape is rejected here, once.
     """
+    if x_shape is not None and (len(x_shape) != 5 or min(x_shape) < 1
+                                or x_shape[1] != spec.in_channels):
+        raise ShapeError(f"block {prefix or spec.variant}: input shape "
+                         f"{x_shape} is not 5-d (n, c, t, h, w) with "
+                         f"{spec.in_channels} channels and no empty extent")
     steps, shapes = [], {INPUT: x_shape}
 
-    def add(name, conv, act, *sources):
+    def add(name, op, conv, *sources):
         out = shapes[sources[0]]
         if conv is not None and out is not None:
             out = conv_output_shape(out, conv)  # reads no input channels
         shapes[name] = out
-        steps.append((name, conv, act, sources, out))
+        steps.append((name, op, conv, sources, out))
         return name
 
-    tapped = [add(f"{prefix}reduce", spec.reduce, True, INPUT)]
+    tapped = [add(f"{prefix}reduce", CONV_BN_RELU, spec.reduce, INPUT)]
     for i, conv in enumerate(spec.main_stage, start=1):
-        tapped.append(add(f"{prefix}main{i}", conv, True, tapped[-1]))
-    branches = [add(f"{prefix}branch{j}", conv, True, tapped[tap])
+        tapped.append(add(f"{prefix}main{i}", CONV_BN_RELU, conv, tapped[-1]))
+    branches = [add(f"{prefix}branch{j}", CONV_BN_RELU, conv, tapped[tap])
                 for j, (tap, conv) in enumerate(spec.branches, start=1)]
-    fuse = add(f"{prefix}fuse", spec.fusion, False, *branches)
+    fuse = add(f"{prefix}fuse", CONV_BN, spec.fusion, *branches)
     shortcut = INPUT if spec.shortcut is None else add(
-        f"{prefix}proj", spec.shortcut, False, INPUT)
-    add(f"{prefix}sum", None, True, fuse, shortcut)
+        f"{prefix}proj", CONV_BN, spec.shortcut, INPUT)
+    add(f"{prefix}sum", ADD_RELU, None, fuse, shortcut)
     return tuple(steps)
 
 
-def unit_param_shapes(name: str, conv: ConvLayerSpec) -> dict[str, tuple]:
-    c = (conv.out_channels,)
-    return {f"{name}.w": conv.weight_shape, f"{name}.scale": c,
-            f"{name}.shift": c, f"{name}.mean": c, f"{name}.var": c}
-
-
-def block_param_shapes(spec: BlockSpec, prefix: str = "") -> dict[str, tuple]:
-    shapes: dict[str, tuple] = {}
-    for name, conv, _, _, _ in block_graph(spec, prefix)[:-1]:
-        shapes.update(unit_param_shapes(name, conv))
-    return shapes
+def unit_param_shapes(steps) -> dict[str, tuple]:
+    """Shape of every bundle entry the conv units among ``steps`` read."""
+    return {f"{name}.{key}": conv.weight_shape if key == "w"
+            else (conv.out_channels,) for name, op, conv, _, _ in steps
+            if op in UNIT_OPS for key in ("w", "scale", "shift", "mean", "var")}
 
 
 def _param(params, key):
@@ -249,50 +256,93 @@ def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
     return gx
 
 
-def block_forward(spec: BlockSpec, params, x: np.ndarray,
-                  state: RunState, prefix: str = "") -> np.ndarray:
-    """Run one block; output channels = ``out_channels``, spatial extents
-    divided by ``spatial_stride``."""
-    check_tensor5(x)
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(f"block {prefix or spec.variant}: input has "
-                         f"{x.shape[1]} channels, expected {spec.in_channels}")
-    outs = {INPUT: x}
-    for name, conv, act, sources, _ in block_graph(spec, prefix, x.shape):
-        if conv is None:
-            out = outs[sources[0]] + outs[sources[1]]
-            outs[name] = relu_forward(out, out=out)
-            if state.cache is not None:
-                state.cache[name] = out
+def _walk_forward(graph, params, x: np.ndarray, state: RunState):
+    """The one forward walk, for the model and every block: runs ``graph``'s
+    steps on ``x`` and returns the last output, dropping each output once
+    its last reader has run.  Blocks and conv units run through
+    ``block_forward`` and ``unit_forward``, names a tracer can replace; the
+    walks stay private, so such a tracer charges their own time to the
+    block or model call that runs them."""
+    last_reader = {s: name for name, _, _, sources, _ in graph
+                   for s in sources}
+    outs, cache = {INPUT: x}, state.cache
+    for name, op, layer, sources, _ in graph:
+        xs = [outs.pop(s) if last_reader[s] == name else outs[s]
+              for s in sources]
+        keep = None
+        if op == "block":
+            y = block_forward(layer, params, xs[0], state, name)
+        elif op == ADD_RELU:
+            y = keep = xs[0] + xs[1]
+            relu_forward(y, out=y)
+        elif op == "maxpool":
+            y = maxpool3d(xs[0])
+            keep = (xs[0], y)
+        elif op == "head":
+            n, c, t, h, w = xs[0].shape
+            pooled = avgpool_spatial(xs[0])               # (n, c, t, 1, 1)
+            flat = pooled[:, :, :, 0, 0].transpose(0, 2, 1).reshape(n * t, c)
+            z = linear_forward(flat, _param(params, "head.fc.w"),
+                               _param(params, "head.fc.b"), state.counter)
+            y = z.reshape(n, t).mean(axis=1)
+            keep = (flat, xs[0].shape)
         else:
-            inp = (outs[sources[0]] if len(sources) == 1
-                   else concat_channels([outs[s] for s in sources]))
-            outs[name] = unit_forward(name, conv, act, params, inp, state)
-    return outs[name]
+            y = unit_forward(name, layer, op == CONV_BN_RELU, params,
+                             xs[0] if len(xs) == 1 else concat_channels(xs),
+                             state)
+        if cache is not None and keep is not None:
+            cache[name] = keep
+        outs[name] = y
+    return y
 
 
-def _walk_back(graph, params, cache, start: str, grad: np.ndarray):
-    """Backward from step ``start`` seeded with ``grad``, skipping the steps
-    it does not reach and summing the gradients that reach each source;
-    returns ``(grad_x, grads)``.  Each step's ``cache`` entry is removed once
-    read."""
-    widths = {step[0]: step[1].out_channels for step in graph[:-1]}
+def _walk_back(graph, params, cache, start: str, grad: np.ndarray,
+               input_grad: bool = True):
+    """The one reverse walk, for the model and every block: backward from
+    step ``start`` seeded with ``grad``, summing the gradients that reach
+    each source; returns ``(grad_x, grads)`` and removes each cache entry it
+    reads.  Without ``input_grad``, ``grad_x`` is None and not computed."""
+    layers = {step[0]: step[2] for step in graph}
     grads: dict[str, np.ndarray] = {}
     pending = {start: grad}
-    for name, conv, act, sources, _ in reversed(graph):
+    for name, op, layer, sources, _ in reversed(graph):
         g = pending.pop(name, None)
         if g is None:
             continue
-        if conv is None:
-            parts = [relu_backward(cache.pop(name), g)] * len(sources)
+        if op == "block":
+            g, block_grads = block_backward(layer, params, cache, g, name)
+            grads.update(block_grads)
+        elif op == ADD_RELU:
+            g = relu_backward(cache.pop(name), g)
+        elif op == "maxpool":
+            g = maxpool3d_backward(g, *cache.pop(name))
+        elif op == "head":
+            flat, (n, c, t, h, w) = cache.pop(name)
+            if g.shape != (n,):
+                raise ShapeError(f"grad_scores shape {g.shape}, expected ({n},)")
+            gz = np.repeat(g / t, t).reshape(n * t, 1).astype(flat.dtype)
+            gflat, grads["head.fc.w"], grads["head.fc.b"] = linear_backward(
+                flat, _param(params, "head.fc.w"), gz)
+            gpooled = gflat.reshape(n, t, c).transpose(0, 2, 1)
+            g = avgpool_spatial_backward(gpooled[:, :, :, None, None], h, w)
         else:
-            g = unit_backward(name, conv, act, params, cache, g, grads)
-            parts = [g] if len(sources) == 1 else split_channels(
-                g, [widths[s] for s in sources])
+            g = unit_backward(name, layer, op == CONV_BN_RELU, params, cache,
+                              g, grads, input_grad or INPUT not in sources)
+        if op in UNIT_OPS and len(sources) > 1:  # read concatenated
+            parts = split_channels(g, [layers[s].out_channels for s in sources])
+        else:  # the sum passes its gradient to both sources
+            parts = [g] * len(sources)
         for source, part in zip(sources, parts):
             prev = pending.get(source)
             pending[source] = part if prev is None else prev + part
     return pending[INPUT], grads
+
+
+def block_forward(spec: BlockSpec, params, x: np.ndarray,
+                  state: RunState, prefix: str = "") -> np.ndarray:
+    """Run one block; output channels = ``out_channels``, spatial extents
+    divided by ``spatial_stride``."""
+    return _walk_forward(block_graph(spec, prefix, x.shape), params, x, state)
 
 
 def block_backward(spec: BlockSpec, params, cache, grad_y: np.ndarray,
@@ -324,11 +374,11 @@ def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
 def describe_block(spec: BlockSpec, prefix: str) -> list[str]:
     """Human-readable per-layer listing: ids, kernel/stride/padding, channels."""
     lines = []
-    for name, conv, act, _, _ in block_graph(spec, prefix)[:-1]:
+    for name, op, conv, _, _ in block_graph(spec, prefix)[:-1]:
         kt, kh, kw = conv.kernel
-        tail = "+bn+relu" if act else "+bn"
         lines.append(f"{name:<24} {kt}x{kh}x{kw} s{conv.stride} p{conv.padding} "
-                     f"{conv.in_channels}->{conv.out_channels} {tail}")
+                     f"{conv.in_channels}->{conv.out_channels} "
+                     f"{op.removeprefix('conv')}")
     if spec.shortcut is None:
         lines.append(f"{prefix + 'shortcut':<24} identity")
     lines.append(f"{prefix + 'join':<24} add shortcut, relu "

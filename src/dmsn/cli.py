@@ -11,6 +11,7 @@ subcommand is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -21,9 +22,9 @@ import numpy as np
 from .blocks import BlockConfigError, describe_block
 from .complexity import count_flops, emit_cost_table
 from .gradsuite import run_gradient_suites
-from .model import (ConfigError, ModelConfig, build_model, load_checkpoint,
-                    model_plan, save_checkpoint)
-from .ops import POOL_GEOMETRY
+from .model import (ConfigError, ModelConfig, build_model,
+                    expected_clip_shape, load_checkpoint, model_plan,
+                    save_checkpoint)
 from .pipeline import (SynthConfig, aggregate_video_score, format_synth_config,
                        load_manifest, metric_mae, metric_mse, metric_rmse,
                        save_manifest, synth_generate)
@@ -39,10 +40,14 @@ class UsageError(Exception):
     """Bad flag/config combination; message goes to stderr, exit code 2."""
 
 
-def _count(text: str) -> int:
-    if int(text) < 1:
-        raise ValueError("must be at least 1")
+def _at_least(low: int, text: str) -> int:
+    if int(text) < low:
+        raise ValueError(f"must be at least {low}")
     return int(text)
+
+
+_count = functools.partial(_at_least, 1)
+_seed = functools.partial(_at_least, 0)
 
 
 def _int_list(text: str) -> list[int]:
@@ -81,7 +86,7 @@ GLOBAL_OPTS = (
     Opt("--config", str, None, "key=value overlay file (flags win)"),
     Opt("--out", str, None, "output path (default: stdout / cwd)"),
 )
-SEED_OPT = Opt("--seed", int, 0, "random seed")
+SEED_OPT = Opt("--seed", _seed, 0, "random seed")
 FORMATS = ("text", "csv")
 AGGREGATES = ("median",)
 FORMAT_OPT = Opt("--format", str, "text", "output format: text or csv")
@@ -253,33 +258,25 @@ def cmd_describe(values: dict) -> int:
     lines = [f"model {config.model_kind}  frames {config.clip_len}  "
              f"input {config.input_size[0]}x{config.input_size[1]}  "
              f"branches {config.branch_count}  width {config.width_multiplier}"]
-    plan = model_plan(spec)
-    shapes = {name: out_shape for name, _, _, _, out_shape in plan}
-    shapes["input"] = plan[0][3]
-    stem = spec.conv1
-    kernel, stride, padding = POOL_GEOMETRY
+    conv1, pool, *blocks, _ = model_plan(spec)
+    stem = conv1[2]
+    kernel, stride, padding = pool[2]
     # a cubic pool prints each geometry triple as one number
     stride, padding = (v[0] if len(set(v)) == 1 else _tight(v)
                        for v in (stride, padding))
-    details = {
-        "input": "",
-        "conv1": f"{_kernel(stem.kernel)} s{_tight(stem.stride)} "
-                 f"p{_tight(stem.padding)}  "
-                 f"{stem.in_channels}->{stem.out_channels}",
-        "pool": f"max {_kernel(kernel)} s{stride} p{padding}",
-    }
-    for name, detail in details.items():
-        _, c, t, h, w = shapes[name]
+    for name, detail, (_, c, t, h, w) in (
+            ("input", "", expected_clip_shape(spec, 1)),
+            ("conv1", f"{_kernel(stem.kernel)} s{_tight(stem.stride)} "
+                      f"p{_tight(stem.padding)}  "
+                      f"{stem.in_channels}->{stem.out_channels}", conv1[4]),
+            ("pool", f"max {_kernel(kernel)} s{stride} p{padding}", pool[4])):
         lines.append(f"{name:<10} {detail:<28} {c:>5}  {t}x{h}x{w}")
-    for prefix, kind, block, _, out_shape in plan:
-        if kind == "block":
-            _, _, t, h, w = out_shape
-            lines.append(f"{prefix[:-1]:<13} DMSN-{block.variant}  "
-                         f"{block.in_channels}->{block.out_channels}  "
-                         f"s{block.spatial_stride}  {t}x{h}x{w}")
-            if values["detail"]:
-                lines.extend("  " + line
-                             for line in describe_block(block, prefix))
+    for prefix, _, block, _, (_, _, t, h, w) in blocks:
+        lines.append(f"{prefix[:-1]:<13} DMSN-{block.variant}  "
+                     f"{block.in_channels}->{block.out_channels}  "
+                     f"s{block.spatial_stride}  {t}x{h}x{w}")
+        if values["detail"]:
+            lines.extend("  " + line for line in describe_block(block, prefix))
     lines.append(f"head       spatial-avgpool, fc {spec.head_channels}->1, "
                  f"temporal-avgpool  scalar")
     _emit("\n".join(lines) + "\n", values["out"])

@@ -12,9 +12,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .blocks import block_graph
-from .model import ModelSpec, model_plan
-from .ops import ConvLayerSpec
+from .blocks import ADD_RELU, UNIT_OPS
+from .model import ModelSpec, model_steps
 
 CONVENTIONS = ("mac1", "mac2")
 
@@ -48,12 +47,20 @@ class CostReport:
         return self.total_macs * (2 if self.convention == "mac2" else 1)
 
 
-def _unit_row(name: str, conv: ConvLayerSpec, out_shape) -> CostRow:
-    """Cost row for one conv+bn(+relu) unit with the given output shape."""
-    n, c, t, h, w = out_shape
-    return CostRow(name, "conv", (c, t, h, w),
-                   params=conv.weight_count + 2 * conv.out_channels,
-                   macs=conv.weight_count * n * t * h * w)
+def _step_rows(name: str, op: str, layer, in_shape, out_shape) -> list:
+    """Cost rows of one step of ``model_steps``, given its input shape."""
+    if op in UNIT_OPS:  # conv+bn(+relu)
+        n, c, t, h, w = out_shape
+        return [CostRow(name, "conv", (c, t, h, w),
+                        params=layer.weight_count + 2 * layer.out_channels,
+                        macs=layer.weight_count * n * t * h * w)]
+    if op in ("maxpool", ADD_RELU):  # ADD_RELU: a block's residual join
+        return [CostRow(name, op, out_shape[1:])]
+    n, c, t, _, _ = in_shape  # the head
+    return [CostRow("head.avgpool", "avgpool", (c, t, 1, 1)),
+            CostRow("head.fc", "linear", (1, t, 1, 1), params=c + 1,
+                    macs=n * t * c),
+            CostRow("head.avgpool_t", "avgpool", (1, 1, 1, 1))]
 
 
 def count_params(spec: ModelSpec) -> CostReport:
@@ -69,33 +76,19 @@ def count_flops(spec: ModelSpec, input_geometry=None,
                 convention: str = "mac1") -> CostReport:
     """Per-layer parameter and MAC accounting for a full model.
 
+    One map over ``model.model_steps``, the steps the forward runs.
     ``input_geometry`` is checked like a clip by ``model_plan``.  Each row's
-    ``out_extents`` is the layer's output ``(c, t, h, w)``; a block's ``join``
+    ``out_extents`` is the layer's output ``(c, t, h, w)``; a block's ``sum``
     row holds the block output.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    plan = model_plan(spec, input_geometry)
     report = CostReport(label=spec.config.model_kind, convention=convention,
                         clip_len=spec.config.clip_len)
-    rows = report.rows
-    for name, kind, layer, in_shape, out_shape in plan:
-        if kind == "conv":
-            rows.append(_unit_row(name, layer, out_shape))
-        elif kind == "maxpool":
-            rows.append(CostRow(name, kind, out_shape[1:]))
-        elif kind == "block":
-            # conv units, then the residual add + final relu
-            rows += [_unit_row(unit, conv, unit_out) if conv is not None else
-                     CostRow(f"{name}join", "add+relu", unit_out[1:])
-                     for unit, conv, _, _, unit_out
-                     in block_graph(layer, name, in_shape)]
-        else:
-            n, c, t, _, _ = in_shape
-            rows.append(CostRow("head.avgpool", "avgpool", (c, t, 1, 1)))
-            rows.append(CostRow("head.fc", "linear", (1, t, 1, 1),
-                                params=c + 1, macs=n * t * c))
-            rows.append(CostRow("head.avgpool_t", "avgpool", (1, 1, 1, 1)))
+    in_shape = None
+    for name, op, layer, _, out_shape in model_steps(spec, input_geometry):
+        report.rows += _step_rows(name, op, layer, in_shape, out_shape)
+        in_shape = out_shape
     return report
 
 

@@ -15,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .blocks import (RunState, block_backward, block_forward,
-                     block_param_shapes, build_block)
+from .blocks import (RunState, block_backward, block_forward, block_graph,
+                     build_block, unit_param_shapes)
 from .model import (ModelConfig, backward_from_cache, build_model,
                     forward_with_state, init_bundle, init_params)
 from .ops import (ConvLayerSpec, avgpool_spatial, avgpool_spatial_backward,
@@ -222,7 +222,7 @@ def check_avgpool(seed, **kw) -> GradCheckReport:
 
 def check_block(variant: str, seed, **kw) -> GradCheckReport:
     block = build_block(variant, 8, 16, spatial_stride=1, branch_count=4)
-    params = init_bundle(block_param_shapes(block), seed)
+    params = init_bundle(unit_param_shapes(block_graph(block)), seed)
 
     def draw(rng):
         return {**params, "input": rng.normal(size=(2, 8, 6, 6, 6))}

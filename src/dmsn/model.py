@@ -21,13 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import tensorfile
-from .blocks import (BlockConfigError, BlockSpec, RunState, block_backward,
-                     block_forward, block_graph, block_param_shapes,
-                     build_block, hash_once, unit_backward, unit_forward,
-                     unit_param_shapes)
-from .ops import (POOL_GEOMETRY, ConvLayerSpec, ShapeError, avgpool_spatial,
-                  avgpool_spatial_backward, conv_output_shape, linear_backward,
-                  linear_forward, maxpool3d, maxpool3d_backward,
+from .blocks import (CONV_BN_RELU, INPUT, BlockConfigError, BlockSpec,
+                     RunState, _walk_back, _walk_forward, block_graph,
+                     build_block, hash_once, unit_param_shapes)
+from .ops import (POOL_GEOMETRY, ConvLayerSpec, ShapeError, conv_output_shape,
                   window_output_shape)
 
 MODEL_KINDS = ("dmsn", "dmsn-a", "dmsn-b", "dmsn-c")
@@ -120,11 +117,11 @@ def expected_clip_shape(spec: ModelSpec, batch: int):
 
 
 def model_plan(spec: ModelSpec, input_shape=None) -> tuple:
-    """The model's steps in execution order as ``(name, kind, layer, in_shape,
-    out_shape)``: ``conv1`` (kind ``conv``, layer its ConvLayerSpec), ``pool``
-    (``maxpool``, layer ``ops.POOL_GEOMETRY``), each block under its
-    parameter prefix (``block``, layer its BlockSpec), and ``head`` (layer
-    None), which gives one score per clip.
+    """The model's steps in ``blocks.block_graph``'s format: ``conv1``, a
+    rectified conv unit; ``pool`` (op ``maxpool``, layer
+    ``ops.POOL_GEOMETRY``); one ``block`` step per block under its parameter
+    prefix, layer its BlockSpec; ``head`` (layer None), one score per clip.
+    Each step reads the one before it.
 
     ``input_shape`` defaults to one clip of the configured geometry; any other
     than ``(n, 3, clip_len, h, w)`` raises ShapeError.  The plan is built once
@@ -141,29 +138,33 @@ def model_plan(spec: ModelSpec, input_shape=None) -> tuple:
 @functools.lru_cache(maxsize=64)
 def _model_plan(spec: ModelSpec, shape: tuple) -> tuple:
     out = conv_output_shape(shape, spec.conv1)
-    plan = [("conv1", "conv", spec.conv1, shape, out)]
-    shape, out = out, window_output_shape(out, *POOL_GEOMETRY)
-    plan.append(("pool", "maxpool", POOL_GEOMETRY, shape, out))
+    plan = [("conv1", CONV_BN_RELU, spec.conv1, (INPUT,), out)]
+    out = window_output_shape(out, *POOL_GEOMETRY)
+    plan.append(("pool", "maxpool", POOL_GEOMETRY, ("conv1",), out))
     for stage_name, blocks in spec.stages:
         for i, block in enumerate(blocks, start=1):
-            prefix, shape = f"{stage_name}.{i}.", out
-            out = block_graph(block, prefix, shape)[-1][4]
-            plan.append((prefix, "block", block, shape, out))
-    plan.append(("head", "head", None, out, out[:1]))
+            prefix = f"{stage_name}.{i}."
+            out = block_graph(block, prefix, out)[-1][4]
+            plan.append((prefix, "block", block, (plan[-1][0],), out))
+    plan.append(("head", "head", None, (plan[-1][0],), out[:1]))
     return tuple(plan)
+
+
+def model_steps(spec: ModelSpec, input_shape) -> tuple:
+    """Every step a forward of ``input_shape`` (None: one clip) runs: the
+    plan's, each block step replaced by its graph's (sources block-local)."""
+    steps, in_shape = [], None
+    for step in model_plan(spec, input_shape):
+        name, op, layer, _, out = step
+        steps += block_graph(layer, name, in_shape) if op == "block" else [step]
+        in_shape = out
+    return tuple(steps)
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple]:
     """Declared shape of every bundle entry, in canonical order."""
-    shapes = {}
-    for name, kind, layer, _, _ in model_plan(spec):
-        if kind == "conv":
-            shapes.update(unit_param_shapes(name, layer))
-        elif kind == "block":
-            shapes.update(block_param_shapes(layer, name))
-    shapes["head.fc.w"] = (1, spec.head_channels)
-    shapes["head.fc.b"] = (1,)
-    return shapes
+    return {**unit_param_shapes(model_steps(spec, None)),
+            "head.fc.w": (1, spec.head_channels), "head.fc.b": (1,)}
 
 
 def _draw(rng: np.random.Generator, name: str, shape: tuple) -> np.ndarray:
@@ -189,27 +190,8 @@ def init_params(spec: ModelSpec, seed: int | None = None) -> dict[str, np.ndarra
 
 def forward_with_state(spec: ModelSpec, params: dict, clip: np.ndarray,
                        state: RunState) -> np.ndarray:
-    x = clip
-    for name, kind, layer, in_shape, _ in model_plan(spec, clip.shape):
-        if kind == "conv":
-            x = unit_forward(name, layer, True, params, x, state)
-        elif kind == "maxpool":
-            y = maxpool3d(x)
-            if state.cache is not None:
-                state.cache[name] = (x, y)
-            x = y
-        elif kind == "block":
-            x = block_forward(layer, params, x, state, name)
-        else:
-            n, c, t, h, w = in_shape
-            pooled = avgpool_spatial(x)               # (n, c, t, 1, 1)
-            flat = pooled[:, :, :, 0, 0].transpose(0, 2, 1).reshape(n * t, c)
-            z = linear_forward(flat, params["head.fc.w"], params["head.fc.b"],
-                               state.counter)
-            x = z.reshape(n, t).mean(axis=1)
-            if state.cache is not None:
-                state.cache[name] = (flat, in_shape)
-    return x
+    """Scores of a batch of clips; ``state`` sets the mode and the caches."""
+    return _walk_forward(model_plan(spec, clip.shape), params, clip, state)
 
 
 def model_forward(spec: ModelSpec, params: dict, clip: np.ndarray,
@@ -221,34 +203,11 @@ def model_forward(spec: ModelSpec, params: dict, clip: np.ndarray,
 def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
                         grad_scores: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients of ``grad_scores`` through the forward that filled
-    ``cache``.
-
-    The cache is consumed: each entry is removed once its backward has read
-    it, so every layer's activations are freed as the walk passes them.
-    """
-    flat, (n, c, t, h, w) = cache.pop("head")
-    if grad_scores.shape != (n,):
-        raise ShapeError(f"grad_scores shape {grad_scores.shape}, expected ({n},)")
-    grads: dict[str, np.ndarray] = {}
-    g = grad_scores
-    plan = model_plan(spec, expected_clip_shape(spec, n))
-    for name, kind, layer, _, _ in reversed(plan):
-        if kind == "head":
-            gz = np.repeat(g / t, t).reshape(n * t, 1).astype(flat.dtype)
-            gflat, grads["head.fc.w"], grads["head.fc.b"] = linear_backward(
-                flat, params["head.fc.w"], gz)
-            gpooled = gflat.reshape(n, t, c).transpose(0, 2, 1)
-            g = avgpool_spatial_backward(gpooled[:, :, :, None, None], h, w)
-        elif kind == "block":
-            g, block_grads = block_backward(layer, params, cache, g, name)
-            grads.update(block_grads)
-        elif kind == "maxpool":
-            g = maxpool3d_backward(g, *cache.pop(name))
-        else:
-            # the stem's input gradient has no consumer
-            unit_backward(name, layer, True, params, cache, g, grads,
-                          need_input_grad=False)
-    return grads
+    ``cache``, which is consumed: each activation is freed as the walk passes
+    it."""
+    # the reverse walk reads no shapes; the clip's gradient has no consumer
+    return _walk_back(model_plan(spec), params, cache, "head", grad_scores,
+                      False)[1]
 
 
 # -- checkpoint container ----------------------------------------------------

@@ -16,7 +16,7 @@ from dmsn.complexity import count_flops, count_params
 from dmsn.gradsuite import run_gradient_suites
 from dmsn.model import (ModelConfig, build_model, forward_with_state,
                         init_bundle, init_params)
-from dmsn.blocks import block_param_shapes
+from dmsn.blocks import block_graph, unit_param_shapes
 from dmsn.ops import MacCounter, conv3d_forward
 from dmsn.pipeline import (Clip, ClipDataset, SynthConfig,
                            aggregate_video_score, bdi_severity_band,
@@ -134,7 +134,7 @@ def test_a7_receptive_field_impulses():
     results = []
     for variant, axis_pack in (("A", (0, 1, 3, 4)), ("C", (0, 1, 2, 3))):
         block = build_block(variant, 8, 16, 1)
-        params = init_bundle(block_param_shapes(block), seed=21)
+        params = init_bundle(unit_param_shapes(block_graph(block)), seed=21)
         for name in params:
             if name.endswith(".w"):
                 params[name] = np.abs(params[name])

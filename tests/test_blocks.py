@@ -5,16 +5,16 @@ import pytest
 
 from dmsn import ops
 from dmsn.blocks import (BlockConfigError, ParamLookupError, RunState,
-                         block_backward, block_forward, block_param_shapes,
+                         block_backward, block_forward, block_graph,
                          branch_input_gradient, build_block, describe_block,
-                         main_kind, branch_kind)
+                         main_kind, branch_kind, unit_param_shapes)
 from dmsn.model import init_bundle
 
 from helpers import branch_chain_gradient
 
 
 def block_params(block, seed=0, positive=False):
-    params = init_bundle(block_param_shapes(block), seed)
+    params = init_bundle(unit_param_shapes(block_graph(block)), seed)
     if positive:
         for name in params:
             if name.endswith(".w"):
@@ -98,7 +98,8 @@ class TestBuildRules:
 class TestForward:
     def test_zero_weights_zero_input_gives_zero(self):
         block = build_block("A", 8, 16, 1)
-        params = {k: np.zeros(s) for k, s in block_param_shapes(block).items()}
+        params = {k: np.zeros(s)
+                  for k, s in unit_param_shapes(block_graph(block)).items()}
         for k in params:
             if k.endswith(".var"):
                 params[k] = np.ones_like(params[k])

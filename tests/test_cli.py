@@ -131,6 +131,22 @@ def test_unparsable_option_value_is_usage_error(capsys, argv, flag):
     assert code == 2 and err.startswith("usage error") and flag in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gradcheck", "synth", "train"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command, source):
+    # numpy's generator rejects it with a message that names no flag
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--seed", "-1"]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        argv[3:] = ["--config", str(cfg)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err == "usage error: --seed: cannot use '-1': must be at least 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["describe", "--bogus"],
     # --seed and --format belong only to the subcommands that read them

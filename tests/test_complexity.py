@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dmsn import blocks
 from dmsn.blocks import RunState
 from dmsn.complexity import count_flops, count_params, emit_cost_table
 from dmsn.model import (ModelConfig, build_model, forward_with_state,
@@ -143,12 +144,31 @@ class TestCountFlops:
                         _, (normalized, _, _), _ = state.cache[row.layer_id]
                         got = normalized.shape
                     elif row.kind == "add+relu":
-                        got = state.cache[row.layer_id[:-len("join")]
-                                          + "sum"].shape
+                        got = state.cache[row.layer_id].shape
                     else:
                         continue
                     assert got == (2,) + row.out_extents, \
                         (kind, branches, row.layer_id)
+
+
+def test_units_run_in_cost_row_order(monkeypatch):
+    # the forward walk and count_flops read one step list, so the conv rows
+    # name every unit the forward runs, in the order it runs them
+    spec = build_model(ModelConfig(clip_len=8, input_size=(32, 32),
+                                   width_multiplier=Fraction(1, 8)))
+    params = init_params(spec, seed=0)
+    clip = np.random.default_rng(0).normal(size=(2, 3, 8, 32, 32))
+    ran = []
+    unit_forward = blocks.unit_forward
+
+    def spy(name, *args):
+        ran.append(name)
+        return unit_forward(name, *args)
+
+    monkeypatch.setattr(blocks, "unit_forward", spy)
+    forward_with_state(spec, params, clip, RunState(mode="eval"))
+    rows = count_flops(spec, clip.shape).rows
+    assert ran == [row.layer_id for row in rows if row.kind == "conv"]
 
 
 class TestEmitTable:
