@@ -241,7 +241,7 @@ def unit_forward(name: str, conv: ConvLayerSpec, act: bool, params, x,
 
 
 def unit_backward(name: str, conv: ConvLayerSpec, act: bool, params, cache,
-                  grad, grads_out: dict, need_input_grad: bool = True):
+                  grad, grads_out: dict, need_input_grad: bool):
     """The unit's backward; adds its parameter gradients to ``grads_out``,
     returns its input gradient and removes its ``cache`` entry."""
     x, bn_cache, out = cache.pop(name)
@@ -297,11 +297,11 @@ def _walk_forward(graph, params, x: np.ndarray, state: RunState):
 
 
 def _walk_back(graph, params, cache, start: str, grad: np.ndarray,
-               input_grad: bool = True):
+               need_input_grad: bool = True):
     """The one reverse walk, for the model and every block: backward from
     step ``start`` seeded with ``grad``, summing the gradients that reach
     each source; returns ``(grad_x, grads)`` and removes each cache entry it
-    reads.  Without ``input_grad``, ``grad_x`` is None and not computed."""
+    reads.  Without ``need_input_grad``, ``grad_x`` is None, not computed."""
     layers = {step[0]: step[2] for step in graph}
     grads: dict[str, np.ndarray] = {}
     pending = {start: grad}
@@ -327,7 +327,7 @@ def _walk_back(graph, params, cache, start: str, grad: np.ndarray,
             g = avgpool_spatial_backward(gpooled[:, :, :, None, None], h, w)
         else:
             g = unit_backward(name, layer, op == CONV_BN_RELU, params, cache,
-                              g, grads, input_grad or INPUT not in sources)
+                              g, grads, need_input_grad or INPUT not in sources)
         if op in UNIT_OPS and len(sources) > 1:  # read concatenated
             parts = split_channels(g, [layers[s].out_channels for s in sources])
         else:  # the sum passes its gradient to both sources
@@ -374,13 +374,14 @@ def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
 def describe_block(spec: BlockSpec, prefix: str) -> list[str]:
     """Human-readable per-layer listing: ids, kernel/stride/padding, channels."""
     lines = []
-    for name, op, conv, _, _ in block_graph(spec, prefix)[:-1]:
+    *units, join = block_graph(spec, prefix)
+    for name, op, conv, _, _ in units:
         kt, kh, kw = conv.kernel
         lines.append(f"{name:<24} {kt}x{kh}x{kw} s{conv.stride} p{conv.padding} "
                      f"{conv.in_channels}->{conv.out_channels} "
                      f"{op.removeprefix('conv')}")
     if spec.shortcut is None:
         lines.append(f"{prefix + 'shortcut':<24} identity")
-    lines.append(f"{prefix + 'join':<24} add shortcut, relu "
+    lines.append(f"{join[0]:<24} add shortcut, relu "
                  f"-> {spec.out_channels} channels")
     return lines

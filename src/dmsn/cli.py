@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .blocks import BlockConfigError, describe_block
-from .complexity import count_flops, emit_cost_table
+from .complexity import CONVENTIONS, count_flops, emit_cost_table
 from .gradsuite import run_gradient_suites
 from .model import (ConfigError, ModelConfig, build_model,
                     expected_clip_shape, load_checkpoint, model_plan,
@@ -89,14 +89,20 @@ GLOBAL_OPTS = (
 SEED_OPT = Opt("--seed", _seed, 0, "random seed")
 FORMATS = ("text", "csv")
 AGGREGATES = ("median",)
-FORMAT_OPT = Opt("--format", str, "text", "output format: text or csv")
+FORMAT_OPT = Opt("--format", str, FORMATS[0], "output format: text or csv")
 
+# every default that a library config holds is read from it
+SIZE_OPT = Opt("--size", int, ModelConfig.input_size[0],
+               "input height/width in pixels")
+WIDTH_OPT = Opt("--width", Fraction, ModelConfig.width_multiplier,
+                "channel width multiplier, e.g. 1/8")
 MODEL_OPTS = (
-    Opt("--model", str, "dmsn", "model kind: dmsn, dmsn-a, dmsn-b, dmsn-c"),
-    Opt("--frames", int, 16, "clip length in frames"),
-    Opt("--size", int, 112, "input height/width in pixels"),
-    Opt("--branches", int, 4, "branch count per block (2-4)"),
-    Opt("--width", Fraction, Fraction(1), "channel width multiplier, e.g. 1/8"),
+    Opt("--model", str, ModelConfig.model_kind,
+        "model kind: dmsn, dmsn-a, dmsn-b, dmsn-c"),
+    Opt("--frames", int, ModelConfig.clip_len, "clip length in frames"),
+    SIZE_OPT,
+    Opt("--branches", int, ModelConfig.branch_count, "branch count per block (2-4)"),
+    WIDTH_OPT,
 )
 
 SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
@@ -105,12 +111,14 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
             "also list every conv inside each block", is_flag=True),
     ),
     "count": (
-        Opt("--model", _str_list, ["dmsn"], "comma list of model kinds"),
-        Opt("--frames", _int_list, [16], "comma list of clip lengths"),
-        Opt("--branches", _int_list, [4], "comma list of branch counts"),
-        Opt("--size", int, 112, "input height/width in pixels"),
-        Opt("--width", Fraction, Fraction(1), "channel width multiplier"),
-        Opt("--convention", str, "mac1", "FLOP convention: mac1 or mac2"),
+        Opt("--model", _str_list, [ModelConfig.model_kind],
+            "comma list of model kinds"),
+        Opt("--frames", _int_list, [ModelConfig.clip_len],
+            "comma list of clip lengths"),
+        Opt("--branches", _int_list, [ModelConfig.branch_count],
+            "comma list of branch counts"),
+        SIZE_OPT, WIDTH_OPT,
+        Opt("--convention", str, CONVENTIONS[0], "FLOP convention: mac1 or mac2"),
         FORMAT_OPT,
     ),
     "gradcheck": (
@@ -119,24 +127,28 @@ SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
         SEED_OPT,
     ),
     "synth": (
-        Opt("--clips", _count, 64, "number of clips to generate"),
-        Opt("--frames", _count, 16, "clip length in frames"),
-        Opt("--size", _count, 32, "frame height/width in pixels"),
-        Opt("--subjects", _count, 4, "number of synthetic subjects"),
-        Opt("--label-min", float, 0.0, "lower label bound"),
-        Opt("--label-max", float, 4.0, "upper label bound"),
-        Opt("--speed", float, 1.0, "bump displacement per frame per label unit"),
+        Opt("--clips", _count, SynthConfig.clip_count, "number of clips to generate"),
+        Opt("--frames", _count, SynthConfig.clip_len, "clip length in frames"),
+        Opt("--size", _count, SynthConfig.height, "frame height/width in pixels"),
+        Opt("--subjects", _count, SynthConfig.subjects,
+            "number of synthetic subjects"),
+        Opt("--label-min", float, SynthConfig.label_min, "lower label bound"),
+        Opt("--label-max", float, SynthConfig.label_max, "upper label bound"),
+        Opt("--speed", float, SynthConfig.step_per_unit,
+            "bump displacement per frame per label unit"),
         SEED_OPT,
     ),
     "train": MODEL_OPTS + (
         Opt("--data", str, None, "clip manifest to train on"),
-        Opt("--schedule", str, "depression",
+        Opt("--schedule", str, TrainConfig.schedule,
             "learning-rate schedule: pretrain, depression, pain"),
-        Opt("--optimizer", str, "adam", "optimizer: sgd or adam"),
-        Opt("--epochs", _count, None, "epoch count (default: schedule's)"),
-        Opt("--batch-size", _count, 8, "minibatch size"),
-        Opt("--steps", _count, None, "stop after this many optimizer steps"),
-        Opt("--loss", str, "mse", "training loss: mse or mae"),
+        Opt("--optimizer", str, TrainConfig.optimizer, "optimizer: sgd or adam"),
+        Opt("--epochs", _count, TrainConfig.epochs,
+            "epoch count (default: schedule's)"),
+        Opt("--batch-size", _count, TrainConfig.batch_size, "minibatch size"),
+        Opt("--steps", _count, TrainConfig.max_steps,
+            "stop after this many optimizer steps"),
+        Opt("--loss", str, TrainConfig.loss, "training loss: mse or mae"),
         Opt("--history", str, None, "write per-step loss records here"),
         SEED_OPT,
     ),
@@ -284,7 +296,7 @@ def cmd_describe(values: dict) -> int:
 
 
 def cmd_count(values: dict) -> int:
-    _check_choice(values, "convention", ("mac1", "mac2"))
+    _check_choice(values, "convention", CONVENTIONS)
     _check_choice(values, "format", FORMATS)
     reports = []
     for kind in values["model"]:
@@ -405,14 +417,8 @@ def cmd_eval(values: dict) -> int:
     return 0
 
 
-COMMANDS = {
-    "describe": cmd_describe,
-    "count": cmd_count,
-    "gradcheck": cmd_gradcheck,
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "eval": cmd_eval,
-}
+COMMANDS = {"describe": cmd_describe, "count": cmd_count, "gradcheck": cmd_gradcheck,
+            "synth": cmd_synth, "train": cmd_train, "eval": cmd_eval}
 
 
 def main(argv=None) -> int:

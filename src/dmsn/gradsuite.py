@@ -25,13 +25,13 @@ from .ops import (ConvLayerSpec, avgpool_spatial, avgpool_spatial_backward,
                   maxpool3d_backward, relu_backward, relu_forward)
 
 REL_FLOOR = 1e-12
+THRESHOLD = 1e-4  # a check passes below this worst relative error
 
 
 @dataclass
 class GradCheckReport:
     """Worst-case errors over all probes plus an overall verdict."""
 
-    threshold: float
     max_rel_error: float = field(default=0.0, init=False)
     max_abs_error: float = field(default=0.0, init=False)
     worst_param: str = field(default="", init=False)
@@ -39,7 +39,7 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.threshold
+        return self.max_rel_error < THRESHOLD
 
     def record(self, name: str, rel: float, abs_err: float) -> None:
         if rel > self.max_rel_error:
@@ -61,8 +61,7 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 def grad_check(forward_fn, params: dict[str, np.ndarray],
                analytic_grads: dict[str, np.ndarray], probe_count: int = 12,
-               epsilon: float = 1e-5, threshold: float = 1e-4, *,
-               seed: int) -> GradCheckReport:
+               epsilon: float = 1e-5, *, seed: int) -> GradCheckReport:
     """Compare analytic gradients against central differences on random coordinates.
 
     ``forward_fn(params)`` maps a parameter bundle to a scalar loss.  Only the
@@ -76,7 +75,7 @@ def grad_check(forward_fn, params: dict[str, np.ndarray],
                              f"{arr.dtype}")
 
     rng = np.random.default_rng(seed)
-    report = GradCheckReport(threshold=threshold)
+    report = GradCheckReport()
     for name in sorted(analytic_grads):
         size = params[name].size
         count = min(probe_count, size)
@@ -158,22 +157,18 @@ def _conv_case(seed, spec: ConvLayerSpec, x_shape, bias: bool,
         backward, **kw)
 
 
-def check_conv_general(seed, **kw) -> GradCheckReport:
-    spec = ConvLayerSpec(2, 3, (2, 3, 3), (1, 2, 1), (1, 1, 0))
-    return _conv_case(seed, spec, (2, 2, 4, 6, 5), True, **kw)
+# the conv suites: (name, conv, input shape, with a bias)
+CONV_SUITES = (
+    ("layer conv3d", ConvLayerSpec(2, 3, (2, 3, 3), (1, 2, 1), (1, 1, 0)),
+     (2, 2, 4, 6, 5), True),
+    ("layer conv-temporal", ConvLayerSpec(3, 2, (3, 1, 1), (1, 1, 1), (1, 0, 0)),
+     (2, 3, 5, 4, 4), False),
+    ("layer conv-spatial", ConvLayerSpec(3, 2, (1, 3, 3), (1, 1, 1), (0, 1, 1)),
+     (2, 3, 3, 6, 6), False),
+)
 
 
-def check_conv_temporal(seed, **kw) -> GradCheckReport:
-    spec = ConvLayerSpec(3, 2, (3, 1, 1), (1, 1, 1), (1, 0, 0))
-    return _conv_case(seed, spec, (2, 3, 5, 4, 4), False, **kw)
-
-
-def check_conv_spatial(seed, **kw) -> GradCheckReport:
-    spec = ConvLayerSpec(3, 2, (1, 3, 3), (1, 1, 1), (0, 1, 1))
-    return _conv_case(seed, spec, (2, 3, 3, 6, 6), False, **kw)
-
-
-def check_batchnorm(seed, **kw) -> GradCheckReport:
+def check_batchnorm(seed) -> GradCheckReport:
     def forward(p):  # (y, running mean, running var, cache)
         return batchnorm_forward(p["x"], p["scale"], p["shift"], np.zeros(4),
                                  np.ones(4), "train")
@@ -186,10 +181,10 @@ def check_batchnorm(seed, **kw) -> GradCheckReport:
         seed, lambda rng: {"x": rng.normal(size=(3, 4, 3, 4, 4)),
                            "scale": rng.uniform(0.5, 1.5, size=4),
                            "shift": rng.normal(size=4)},
-        lambda p: forward(p)[0], backward, **kw)
+        lambda p: forward(p)[0], backward)
 
 
-def check_relu(seed, **kw) -> GradCheckReport:
+def check_relu(seed) -> GradCheckReport:
     def draw(rng):
         x = rng.normal(size=(2, 3, 4, 4, 4))
         return {"x": np.where(np.abs(x) < 0.05, 0.1, x)}  # probes off the kink
@@ -197,11 +192,10 @@ def check_relu(seed, **kw) -> GradCheckReport:
     def backward(p, r):
         return {"x": relu_backward(relu_forward(p["x"]), r)}
 
-    return _projected(seed, draw, lambda p: relu_forward(p["x"]), backward,
-                      **kw)
+    return _projected(seed, draw, lambda p: relu_forward(p["x"]), backward)
 
 
-def check_maxpool(seed, **kw) -> GradCheckReport:
+def check_maxpool(seed) -> GradCheckReport:
     shape = (2, 2, 5, 7, 7)
 
     def backward(p, r):
@@ -210,17 +204,17 @@ def check_maxpool(seed, **kw) -> GradCheckReport:
     # every element: a dozen random probes can miss all of the pool's winners
     return _projected(seed, lambda rng: {"x": rng.normal(size=shape)},
                       lambda p: maxpool3d(p["x"]), backward,
-                      probe_count=math.prod(shape), **kw)
+                      probe_count=math.prod(shape))
 
 
-def check_avgpool(seed, **kw) -> GradCheckReport:
+def check_avgpool(seed) -> GradCheckReport:
     return _projected(
         seed, lambda rng: {"x": rng.normal(size=(2, 3, 4, 5, 5))},
         lambda p: avgpool_spatial(p["x"]),
-        lambda p, r: {"x": avgpool_spatial_backward(r, 5, 5)}, **kw)
+        lambda p, r: {"x": avgpool_spatial_backward(r, 5, 5)})
 
 
-def check_block(variant: str, seed, **kw) -> GradCheckReport:
+def check_block(variant: str, seed) -> GradCheckReport:
     block = build_block(variant, 8, 16, spatial_stride=1, branch_count=4)
     params = init_bundle(unit_param_shapes(block_graph(block)), seed)
 
@@ -239,7 +233,7 @@ def check_block(variant: str, seed, **kw) -> GradCheckReport:
     # input and projection drawn from seed + 1, probes from seed; eps below
     # the relu-kink scale of the activations, well above roundoff
     return _projected(seed + 1, draw, forward, backward, seed=seed,
-                      epsilon=3e-6, probe_count=4, **kw)
+                      epsilon=3e-6, probe_count=4)
 
 
 MICRO_CONFIG = ModelConfig(clip_len=8, input_size=(32, 32),
@@ -256,7 +250,7 @@ MODEL_PROBE_NAMES = (
 )
 
 
-def check_micro_model(seed, **kw) -> GradCheckReport:
+def check_micro_model(seed) -> GradCheckReport:
     """Whole-model check in eval mode.
 
     Train-mode batch statistics feed 1/sigma back through 17 blocks, which
@@ -282,11 +276,10 @@ def check_micro_model(seed, **kw) -> GradCheckReport:
 
     probe = {name: params[name] for name in MODEL_PROBE_NAMES}
     return grad_check(loss, probe, analytic_grads=grads, probe_count=3,
-                      seed=seed, **kw)
+                      seed=seed)
 
 
-def run_gradient_suites(seed: int, inject_bug: bool = False,
-                        threshold: float = 1e-4):
+def run_gradient_suites(seed: int, inject_bug: bool):
     """All suites in order; returns ``[(name, GradCheckReport), ...]``.
 
     ``inject_bug`` doubles the linear layer's weight gradient before checking,
@@ -294,11 +287,10 @@ def run_gradient_suites(seed: int, inject_bug: bool = False,
     """
     linear = _linear_grads_doubled_w if inject_bug else _linear_grads
     suites = [
-        ("layer linear", lambda seed, **kw: _projected(
-            seed, _linear_params, _linear_out, linear, **kw)),
-        ("layer conv3d", check_conv_general),
-        ("layer conv-temporal", check_conv_temporal),
-        ("layer conv-spatial", check_conv_spatial),
+        ("layer linear", lambda seed: _projected(
+            seed, _linear_params, _linear_out, linear)),
+        *((name, partial(_conv_case, spec=conv, x_shape=shape, bias=bias))
+          for name, conv, shape, bias in CONV_SUITES),
         ("layer batchnorm", check_batchnorm),
         ("layer relu", check_relu),
         ("layer maxpool", check_maxpool),
@@ -306,4 +298,4 @@ def run_gradient_suites(seed: int, inject_bug: bool = False,
         *((f"block variant {v}", partial(check_block, v)) for v in "ABC"),
         ("micro model", check_micro_model),
     ]
-    return [(name, check(seed, threshold=threshold)) for name, check in suites]
+    return [(name, check(seed)) for name, check in suites]

@@ -2,7 +2,7 @@
 
 Layout: magic ``DMSN``, format version (u32 LE), dtype code (u32 LE; 0 = f32,
 1 = f64), five u32 LE extents (n, c, t, h, w), then the payload row-major in
-little-endian IEEE floats.  Round trips are bit-exact.
+little-endian IEEE floats, which ends a tensor file.  Round trips are bit-exact.
 
 Tensors stream to and from open files: the writer hands the array's own buffer
 to ``write``, so it holds no second copy of the payload.  The reader parses and
@@ -106,5 +106,9 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return tensor_from_stream(fh, os.fstat(fh.fileno()).st_size,
-                                  read_payload)
+        size = os.fstat(fh.fileno()).st_size
+        data = tensor_from_stream(fh, size, read_payload)
+        if fh.tell() != size:
+            raise TensorFileError(f"{size - fh.tell()} trailing bytes after "
+                                  f"the {data.shape} payload")
+        return data

@@ -311,7 +311,7 @@ def train(model_config: ModelConfig, dataset, config: TrainConfig):
 
 
 def predict_scores(spec: ModelSpec, params: dict, clips,
-                   batch_size: int = 8) -> np.ndarray:
+                   batch_size: int) -> np.ndarray:
     """Eval-mode scores for a list of clip arrays."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")

@@ -107,7 +107,8 @@ def branch_chain_gradient(spec, params, x, tap):
     grad = np.zeros_like(out)
     grad[:, :, out.shape[2] // 2, out.shape[3] // 2, out.shape[4] // 2] = 1.0
     for name, conv in reversed(chain):
-        grad = unit_backward(name, conv, True, params, state.cache, grad, {})
+        grad = unit_backward(name, conv, True, params, state.cache, grad, {},
+                             need_input_grad=True)
     return grad
 
 

@@ -121,7 +121,7 @@ def test_a5_kernel_oracle_equivalence():
 
 def test_a6_gradient_suite():
     t0 = time.perf_counter()
-    results = run_gradient_suites(seed=0, threshold=1e-4)
+    results = run_gradient_suites(seed=0, inject_bug=False)
     elapsed = time.perf_counter() - t0
     worst_name, worst = max(((name, rep.max_rel_error)
                              for name, rep in results), key=lambda kv: kv[1])
@@ -162,13 +162,13 @@ def test_a8_desk_scale_learning():
     spec = build_model(MICRO)
     held_clips = held_split.clip_arrays()
     held_labels = held_split.labels()
-    base_mae = metric_mae(predict_scores(spec, init_params(spec), held_clips),
-                          held_labels)
+    base_mae = metric_mae(predict_scores(spec, init_params(spec), held_clips,
+                                         batch_size=8), held_labels)
     config = TrainConfig(optimizer="adam", schedule="pain", epochs=25,
                          max_steps=500, batch_size=8, seed=3)
     params, history = train(MICRO, train_split, config)
-    trained_mae = metric_mae(predict_scores(spec, params, held_clips),
-                             held_labels)
+    trained_mae = metric_mae(predict_scores(spec, params, held_clips,
+                                            batch_size=8), held_labels)
     elapsed = time.perf_counter() - t0
     ok = (len(history.steps) == 500 and trained_mae <= 0.5 * base_mae
           and elapsed < 600.0)

@@ -1,6 +1,8 @@
 """Command-line behavior: flags, config overlay, determinism, exit codes."""
 
+import ast
 import filecmp
+import inspect
 import os
 
 import numpy as np
@@ -504,3 +506,21 @@ def test_every_declared_option_is_read(tmp_path, monkeypatch):
         declared = {opt.dest for opt in cli.SUBCOMMANDS[command]
                     + cli.GLOBAL_OPTS} - {"config"}   # _resolve consumes it
         assert declared - reads == set(), command
+
+
+def test_flag_defaults_read_the_library():
+    """A default that a library config or table holds is read from it, so it
+    has one home.  The literals left are the seed that three subcommands
+    share and eval's scoring batch size; None and False set no value."""
+    tree = ast.parse(inspect.getsource(cli))
+    literal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Opt":
+            flag, _, default = node.args[:3]
+            reads = any(isinstance(n, (ast.Attribute, ast.Subscript))
+                        for n in ast.walk(default))
+            unset = isinstance(default, ast.Constant) and (
+                default.value is None or default.value is False)
+            if not reads and not unset:
+                literal.add((flag.value, ast.unparse(default)))
+    assert literal == {("--seed", "0"), ("--batch-size", "8")}

@@ -9,6 +9,7 @@ import pytest
 
 from dmsn import blocks
 from dmsn.blocks import RunState
+from dmsn.cli import main
 from dmsn.complexity import count_flops, count_params, emit_cost_table
 from dmsn.model import (ModelConfig, build_model, forward_with_state,
                         init_params, param_shapes)
@@ -169,6 +170,19 @@ def test_units_run_in_cost_row_order(monkeypatch):
     forward_with_state(spec, params, clip, RunState(mode="eval"))
     rows = count_flops(spec, clip.shape).rows
     assert ran == [row.layer_id for row in rows if row.kind == "conv"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    ([], ModelConfig()),
+    (["--model", "dmsn-b", "--branches", "3", "--frames", "8"],
+     ModelConfig(model_kind="dmsn-b", branch_count=3, clip_len=8))])
+def test_described_units_and_joins_are_cost_rows(capsys, argv, config):
+    # describe and the cost table name a block's units and its join alike
+    assert main(["describe", "--detail", *argv]) == 0
+    named = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  ") and not line.endswith(" identity")]
+    rows = {row.layer_id for row in count_flops(build_model(config)).rows}
+    assert "res2.1.sum" in named and set(named) <= rows
 
 
 class TestEmitTable:

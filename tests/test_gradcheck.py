@@ -23,7 +23,7 @@ def test_correct_gradient_passes():
     fn, params = quadratic_case()
     _, grads = fn(params)
     report = grad_check(lambda p: fn(p)[0], params, analytic_grads=grads,
-                        probe_count=3, threshold=1e-6, seed=0)
+                        probe_count=3, seed=0)
     assert report.passed
     assert report.max_rel_error < 1e-6
 
@@ -57,7 +57,7 @@ def test_float32_params_rejected():
 
 @pytest.fixture(scope="module")
 def clean_suites():
-    return gradsuite.run_gradient_suites(seed=0)
+    return gradsuite.run_gradient_suites(seed=0, inject_bug=False)
 
 
 def test_linear_layer_suite_passes(clean_suites):
@@ -94,5 +94,5 @@ def test_maxpool_check_sees_a_scaled_backward(monkeypatch):
     backward = gradsuite.maxpool3d_backward
     monkeypatch.setattr(gradsuite, "maxpool3d_backward",
                         lambda *args: 1.5 * backward(*args))
-    report = gradsuite.check_maxpool(0, threshold=1e-4)
+    report = gradsuite.check_maxpool(0)
     assert not report.passed and report.worst_param == "x"

@@ -333,6 +333,16 @@ class TestManifest:
                            match="line 2: tensor file c1.dmsn: truncated"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("at", [None, 40])  # appended; into the payload
+    def test_tensor_with_an_extra_byte_names_line_and_file(self, tmp_path, at):
+        path = self._manifest_of(tmp_path, [(1, 3, 4, 8, 8)] * 2)
+        raw = (tmp_path / "c1.dmsn").read_bytes()
+        at = len(raw) if at is None else at
+        (tmp_path / "c1.dmsn").write_bytes(raw[:at] + b"\x01" + raw[at:])
+        with pytest.raises(ManifestError, match="^line 2: tensor file c1.dmsn: "
+                                                "1 trailing bytes after"):
+            load_manifest(path)
+
     def test_missing_tensor_names_line_and_file(self, tmp_path):
         path = self._manifest_of(tmp_path, [(1, 3, 4, 8, 8)] * 2)
         (tmp_path / "c1.dmsn").unlink()

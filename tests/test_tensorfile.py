@@ -59,6 +59,34 @@ def test_truncated_payload_rejected(tmp_path):
         tensorfile.read_tensor(path)
 
 
+def _clip_file(path):
+    """A 24-value float32 tensor 0, 1, ..., 23 written to ``path``; returns
+    the file's bytes."""
+    tensorfile.write_tensor(path, np.arange(24, dtype=np.float32).reshape(
+        1, 1, 2, 3, 4))
+    return path.read_bytes()
+
+
+def test_appended_byte_rejected(tmp_path):
+    path = tmp_path / "t.dmsn"
+    path.write_bytes(_clip_file(path) + b"\0")
+    with pytest.raises(tensorfile.TensorFileError,
+                       match=r"^1 trailing bytes after the \(1, 1, 2, 3, 4\) "
+                             r"payload$"):
+        tensorfile.read_tensor(path)
+
+
+def test_inserted_payload_byte_rejected(tmp_path):
+    # one byte into the payload shifts every value after it: without the
+    # trailing-byte check the file loads as 0, 1, 1.78e-43, 2.0000153, ...
+    path = tmp_path / "t.dmsn"
+    raw = _clip_file(path)
+    at = tensorfile._HEADER.size + 8
+    path.write_bytes(raw[:at] + b"\x7f" + raw[at:])
+    with pytest.raises(tensorfile.TensorFileError, match="^1 trailing bytes"):
+        tensorfile.read_tensor(path)
+
+
 def test_non_5d_rejected():
     stream = io.BytesIO()
     with pytest.raises(tensorfile.TensorFileError):

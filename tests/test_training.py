@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dmsn import ops
+from dmsn import blocks, ops
 from dmsn.model import ModelConfig, build_model, init_params
 from dmsn.pipeline import SynthConfig, synth_generate
 from dmsn.training import (SCHEDULES, SGD_MOMENTUM, WEIGHT_DECAY, TrainConfig,
@@ -417,3 +417,34 @@ class TestDeskStep:
         # the stem's forward, and its weight gradient's gather of x
         assert split == [((7, 7, 7), 8)] * 2
         assert len(groups) > 100
+
+
+def test_a_clips_units_do_not_depend_on_the_scoring_batch(monkeypatch):
+    """Clip 0's unit outputs are the same bytes scored alone or in a batch of
+    8 (the no-cache eval forward).  Its score agrees only to rounding: the
+    head runs one ``(n*t, c) @ (c, 1)`` GEMM, and the BLAS may round a row
+    differently for another row count (the last float32 ulp here)."""
+    spec = build_model(ModelConfig(clip_len=8, input_size=(32, 32),
+                                   width_multiplier=Fraction(1, 8)))
+    params = init_params(spec, seed=0)
+    clips = synth_generate(SynthConfig(clip_count=11, clip_len=8, height=32,
+                                       width=32)).clip_arrays()
+    unit_forward = blocks.unit_forward
+
+    def scored(batch_size):
+        outs = []
+
+        def spy(name, *args):
+            y = unit_forward(name, *args)
+            outs.append((name, y[0].tobytes()))
+            return y
+
+        monkeypatch.setattr(blocks, "unit_forward", spy)
+        return predict_scores(spec, params, clips, batch_size), outs
+
+    alone, alone_units = scored(1)
+    batched, batched_units = scored(8)
+    per_forward = len(batched_units) // 2  # clips 0-7, then 8-10
+    assert len(alone_units) == 11 * per_forward
+    assert alone_units[:per_forward] == batched_units[:per_forward]
+    np.testing.assert_allclose(alone, batched, rtol=1e-5)
