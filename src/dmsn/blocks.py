@@ -33,6 +33,7 @@ from .ops import (ConvLayerSpec, MacCounter, ShapeError, avgpool_spatial,
                   split_channels)
 
 VARIANTS = ("A", "B", "C")
+BRANCH_COUNTS = range(2, 5)
 TEMPORAL, SPATIAL = "t", "s"
 
 
@@ -111,8 +112,9 @@ def build_block(variant: str, in_channels: int, out_channels: int,
     if variant not in VARIANTS:
         raise BlockConfigError(f"unknown variant {variant!r}; expected one of "
                                f"{VARIANTS}")
-    if branch_count < 2 or branch_count > 4:
-        raise BlockConfigError(f"branch_count must be 2..4, got {branch_count}")
+    if branch_count not in BRANCH_COUNTS:
+        raise BlockConfigError(f"branch_count must be {BRANCH_COUNTS[0]}.."
+                               f"{BRANCH_COUNTS[-1]}, got {branch_count}")
     if spatial_stride not in (1, 2):
         raise BlockConfigError(f"spatial_stride must be 1 or 2, got {spatial_stride}")
     if out_channels % 2:

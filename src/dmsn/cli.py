@@ -19,12 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocks import BlockConfigError, describe_block
-from .complexity import CONVENTIONS, count_flops, emit_cost_table
+from .blocks import BRANCH_COUNTS, BlockConfigError, describe_block
+from .complexity import CONVENTIONS, CostReport, count_flops, emit_cost_table
 from .gradsuite import run_gradient_suites
-from .model import (ConfigError, ModelConfig, build_model,
-                    expected_clip_shape, load_checkpoint, model_plan,
-                    save_checkpoint)
+from .model import (MODEL_KINDS, ConfigError, ModelConfig, build_model,
+                    check_name, expected_clip_shape, load_checkpoint,
+                    model_plan, save_checkpoint)
 from .pipeline import (SynthConfig, aggregate_video_score, format_synth_config,
                        load_manifest, metric_mae, metric_mse, metric_rmse,
                        save_manifest, synth_generate)
@@ -50,17 +50,6 @@ _count = functools.partial(_at_least, 1)
 _seed = functools.partial(_at_least, 0)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in _str_list(text)]
-
-
-def _str_list(text: str) -> list[str]:
-    parts = [part.strip() for part in text.split(",") if part.strip()]
-    if not parts:
-        raise ValueError("needs at least one value")
-    return parts
-
-
 def _bool(text: str) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -71,11 +60,13 @@ def _bool(text: str) -> bool:
 
 @dataclass(frozen=True)
 class Opt:
+    """``parse`` turns text into a value, or is a choice flag's collection
+    of valid names; ``_bool`` makes a bare flag, a list default a comma list."""
+
     flag: str
     parse: object
     default: object
     help: str
-    is_flag: bool = False
 
     @property
     def dest(self) -> str:
@@ -88,8 +79,8 @@ GLOBAL_OPTS = (
 )
 SEED_OPT = Opt("--seed", _seed, 0, "random seed")
 FORMATS = ("text", "csv")
-AGGREGATES = ("median",)
-FORMAT_OPT = Opt("--format", str, FORMATS[0], "output format: text or csv")
+AGGREGATES = {"median": aggregate_video_score}  # a video's score from its clips
+FORMAT_OPT = Opt("--format", FORMATS, FORMATS[0], "output format")
 
 # every default that a library config holds is read from it
 SIZE_OPT = Opt("--size", int, ModelConfig.input_size[0],
@@ -97,87 +88,28 @@ SIZE_OPT = Opt("--size", int, ModelConfig.input_size[0],
 WIDTH_OPT = Opt("--width", Fraction, ModelConfig.width_multiplier,
                 "channel width multiplier, e.g. 1/8")
 MODEL_OPTS = (
-    Opt("--model", str, ModelConfig.model_kind,
-        "model kind: dmsn, dmsn-a, dmsn-b, dmsn-c"),
+    Opt("--model", MODEL_KINDS, ModelConfig.model_kind, "model kind"),
     Opt("--frames", int, ModelConfig.clip_len, "clip length in frames"),
     SIZE_OPT,
-    Opt("--branches", int, ModelConfig.branch_count, "branch count per block (2-4)"),
+    Opt("--branches", int, ModelConfig.branch_count,
+        f"branch count per block ({BRANCH_COUNTS[0]}-{BRANCH_COUNTS[-1]})"),
     WIDTH_OPT,
 )
-
-SUBCOMMANDS: dict[str, tuple[Opt, ...]] = {
-    "describe": MODEL_OPTS + (
-        Opt("--detail", _bool, False,
-            "also list every conv inside each block", is_flag=True),
-    ),
-    "count": (
-        Opt("--model", _str_list, [ModelConfig.model_kind],
-            "comma list of model kinds"),
-        Opt("--frames", _int_list, [ModelConfig.clip_len],
-            "comma list of clip lengths"),
-        Opt("--branches", _int_list, [ModelConfig.branch_count],
-            "comma list of branch counts"),
-        SIZE_OPT, WIDTH_OPT,
-        Opt("--convention", str, CONVENTIONS[0], "FLOP convention: mac1 or mac2"),
-        FORMAT_OPT,
-    ),
-    "gradcheck": (
-        Opt("--inject-bug", _bool, False,
-            "negative control: corrupt one analytic gradient", is_flag=True),
-        SEED_OPT,
-    ),
-    "synth": (
-        Opt("--clips", _count, SynthConfig.clip_count, "number of clips to generate"),
-        Opt("--frames", _count, SynthConfig.clip_len, "clip length in frames"),
-        Opt("--size", _count, SynthConfig.height, "frame height/width in pixels"),
-        Opt("--subjects", _count, SynthConfig.subjects,
-            "number of synthetic subjects"),
-        Opt("--label-min", float, SynthConfig.label_min, "lower label bound"),
-        Opt("--label-max", float, SynthConfig.label_max, "upper label bound"),
-        Opt("--speed", float, SynthConfig.step_per_unit,
-            "bump displacement per frame per label unit"),
-        SEED_OPT,
-    ),
-    "train": MODEL_OPTS + (
-        Opt("--data", str, None, "clip manifest to train on"),
-        Opt("--schedule", str, TrainConfig.schedule,
-            "learning-rate schedule: pretrain, depression, pain"),
-        Opt("--optimizer", str, TrainConfig.optimizer, "optimizer: sgd or adam"),
-        Opt("--epochs", _count, TrainConfig.epochs,
-            "epoch count (default: schedule's)"),
-        Opt("--batch-size", _count, TrainConfig.batch_size, "minibatch size"),
-        Opt("--steps", _count, TrainConfig.max_steps,
-            "stop after this many optimizer steps"),
-        Opt("--loss", str, TrainConfig.loss, "training loss: mse or mae"),
-        Opt("--history", str, None, "write per-step loss records here"),
-        SEED_OPT,
-    ),
-    "eval": (
-        Opt("--data", str, None, "clip manifest to evaluate"),
-        Opt("--checkpoint", str, None, "model checkpoint to load"),
-        Opt("--aggregate", str, None, "video aggregation: median"),
-        Opt("--per-subject", _bool, False,
-            "also report each subject's clips on their own", is_flag=True),
-        Opt("--batch-size", _count, 8, "scoring batch size"),
-        FORMAT_OPT,
-    ),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmsn",
         description="Decomposed multiscale spatiotemporal network toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, opts in SUBCOMMANDS.items():
+    for name, (_, opts) in SUBCOMMANDS.items():
         sub = subs.add_parser(name)
         for opt in opts + GLOBAL_OPTS:
-            if opt.is_flag:
-                sub.add_argument(opt.flag, dest=opt.dest, action="store_const",
-                                 const="true", default=None, help=opt.help)
-            else:
-                sub.add_argument(opt.flag, dest=opt.dest, type=str,
-                                 default=None, help=opt.help)
+            text = opt.help
+            if not callable(opt.parse):   # a choice flag's collection
+                text += f": {', '.join(opt.parse)}"
+            bare = {"action": "store_const", "const": "true"}  # parse _bool
+            sub.add_argument(opt.flag, dest=opt.dest, default=None, help=text,
+                             **(bare if opt.parse is _bool else {}))
     return parser
 
 
@@ -212,6 +144,21 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
+def _parse(opt: Opt, text: str):
+    """A flag's value, a list of them for a list default.  A choice flag's
+    name outside its collection is a ConfigError."""
+    many = isinstance(opt.default, list)
+    parts = [p.strip() for p in text.split(",") if p.strip()] if many else [text]
+    if not parts:
+        raise ValueError("needs at least one value")
+    if callable(opt.parse):
+        parts = [opt.parse(part) for part in parts]
+    else:
+        for part in parts:
+            check_name(opt.dest, part, opt.parse)
+    return parts if many else parts[0]
+
+
 def _resolve(ns: argparse.Namespace, opts: tuple[Opt, ...]) -> dict:
     """Merge flag values over config-file values over defaults."""
     table = {opt.dest: opt for opt in opts + GLOBAL_OPTS}
@@ -227,7 +174,9 @@ def _resolve(ns: argparse.Namespace, opts: tuple[Opt, ...]) -> dict:
         if raw is None and dest in overlay:
             raw = overlay[dest]
         try:
-            values[dest] = opt.default if raw is None else opt.parse(raw)
+            values[dest] = opt.default if raw is None else _parse(opt, raw)
+        except ConfigError as exc:
+            raise UsageError(str(exc)) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"{opt.flag}: cannot use {raw!r}: {exc}") from None
     return values
@@ -239,13 +188,6 @@ def _model_config(values: dict) -> ModelConfig:
                        input_size=(values["size"], values["size"]),
                        branch_count=values["branches"],
                        width_multiplier=values["width"])
-
-
-def _check_choice(values: dict, dest: str, valid) -> None:
-    """A value outside ``valid`` is a usage error that lists the valid ones."""
-    if values[dest] not in valid:
-        raise UsageError(f"unknown {dest} {values[dest]!r}; valid: "
-                         f"{', '.join(valid)}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -296,8 +238,6 @@ def cmd_describe(values: dict) -> int:
 
 
 def cmd_count(values: dict) -> int:
-    _check_choice(values, "convention", CONVENTIONS)
-    _check_choice(values, "format", FORMATS)
     reports = []
     for kind in values["model"]:
         for branches in values["branches"]:
@@ -307,7 +247,7 @@ def cmd_count(values: dict) -> int:
                                         "branches": branches})
                 report = count_flops(build_model(config),
                                      convention=values["convention"])
-                if branches != 4:
+                if branches != ModelConfig.branch_count:
                     report.label = f"{kind}-br{branches}"
                 reports.append(report)
     _emit(emit_cost_table(reports, format=values["format"]), values["out"])
@@ -349,9 +289,6 @@ def cmd_train(values: dict) -> int:
         raise UsageError("train needs --data <manifest>")
     if values["out"] is None:
         raise UsageError("train needs --out <checkpoint path>")
-    _check_choice(values, "schedule", SCHEDULES)
-    _check_choice(values, "optimizer", OPTIMIZER_STEPS)
-    _check_choice(values, "loss", LOSSES)
     dataset = load_manifest(values["data"])
     model_config = replace(_model_config(values), seed=values["seed"])
     train_config = TrainConfig(optimizer=values["optimizer"],
@@ -371,34 +308,34 @@ def cmd_train(values: dict) -> int:
     return 0
 
 
+METRICS = {"mae": metric_mae, "rmse": metric_rmse, "mse": metric_mse}  # eval columns
+
+
 def _metric_rows(scores: np.ndarray, labels: np.ndarray, dataset, values: dict):
-    rows = [("overall", "all", len(scores), metric_mae(scores, labels),
-             metric_rmse(scores, labels), metric_mse(scores, labels))]
+    def row(scope, subject, pred, truth):
+        return (scope, subject, len(pred), *(m(pred, truth) for m in METRICS.values()))
+
+    rows = [row("overall", "all", scores, labels)]
     if values["per_subject"]:
         # slices of one model's scores; no model was trained without them
         for subject in dataset.subjects():
             keep = [i for i, c in enumerate(dataset.clips)
                     if c.subject_id == subject]
-            p, t = scores[keep], labels[keep]
-            rows.append(("subject", subject, len(keep), metric_mae(p, t),
-                         metric_rmse(p, t), metric_mse(p, t)))
+            rows.append(row("subject", subject, scores[keep], labels[keep]))
     if values["aggregate"] is not None:
+        aggregate = AGGREGATES[values["aggregate"]]
         videos: dict[str, list[int]] = {}
         for i, clip in enumerate(dataset.clips):
             videos.setdefault(clip.video_id, []).append(i)
-        vp = [aggregate_video_score(scores[idx]) for idx in videos.values()]
-        vt = [aggregate_video_score(labels[idx]) for idx in videos.values()]
-        rows.append(("video-median", "all", len(vp), metric_mae(vp, vt),
-                     metric_rmse(vp, vt), metric_mse(vp, vt)))
+        rows.append(row(f"video-{values['aggregate']}", "all",
+                        [aggregate(scores[idx]) for idx in videos.values()],
+                        [aggregate(labels[idx]) for idx in videos.values()]))
     return rows
 
 
 def cmd_eval(values: dict) -> int:
     if values["data"] is None or values["checkpoint"] is None:
         raise UsageError("eval needs --data <manifest> and --checkpoint <file>")
-    _check_choice(values, "format", FORMATS)
-    if values["aggregate"] is not None:
-        _check_choice(values, "aggregate", AGGREGATES)
     spec, params = load_checkpoint(values["checkpoint"])
     dataset = load_manifest(values["data"])
     scores = predict_scores(spec, params, dataset.clip_arrays(),
@@ -406,19 +343,72 @@ def cmd_eval(values: dict) -> int:
     labels = dataset.labels()
     rows = _metric_rows(scores, labels, dataset, values)
     if values["format"] == "csv":
-        lines = ["scope,subjects,clips,mae,rmse,mse"]
-        lines += [f"{scope},{subj},{n},{mae:.6f},{rmse:.6f},{mse:.6f}"
-                  for scope, subj, n, mae, rmse, mse in rows]
+        lines = [",".join(["scope", "subjects", "clips", *METRICS])]
+        lines += [f"{scope},{subj},{n}" + "".join(f",{v:.6f}" for v in metrics)
+                  for scope, subj, n, *metrics in rows]
     else:
-        lines = [f"{scope:<14} {subj:<14} n={n:<5} mae {mae:.6f}  "
-                 f"rmse {rmse:.6f}  mse {mse:.6f}"
-                 for scope, subj, n, mae, rmse, mse in rows]
+        lines = [f"{scope:<14} {subj:<14} n={n:<5} " + "  ".join(
+                     f"{name} {v:.6f}" for name, v in zip(METRICS, metrics))
+                 for scope, subj, n, *metrics in rows]
     _emit("\n".join(lines) + "\n", values["out"])
     return 0
 
 
-COMMANDS = {"describe": cmd_describe, "count": cmd_count, "gradcheck": cmd_gradcheck,
-            "synth": cmd_synth, "train": cmd_train, "eval": cmd_eval}
+# each subcommand's function and flags
+SUBCOMMANDS: dict[str, tuple] = {
+    "describe": (cmd_describe, MODEL_OPTS + (
+        Opt("--detail", _bool, False, "also list every conv inside each block"),
+    )),
+    "count": (cmd_count, (
+        Opt("--model", MODEL_KINDS, [ModelConfig.model_kind],
+            "comma list of model kinds"),
+        Opt("--frames", int, [ModelConfig.clip_len], "comma list of clip lengths"),
+        Opt("--branches", int, [ModelConfig.branch_count],
+            "comma list of branch counts"),
+        SIZE_OPT, WIDTH_OPT,
+        Opt("--convention", CONVENTIONS, CostReport.convention, "FLOP convention"),
+        FORMAT_OPT,
+    )),
+    "gradcheck": (cmd_gradcheck, (
+        Opt("--inject-bug", _bool, False,
+            "negative control: corrupt one analytic gradient"),
+        SEED_OPT,
+    )),
+    "synth": (cmd_synth, (
+        Opt("--clips", _count, SynthConfig.clip_count, "number of clips to generate"),
+        Opt("--frames", _count, SynthConfig.clip_len, "clip length in frames"),
+        Opt("--size", _count, SynthConfig.height, "frame height/width in pixels"),
+        Opt("--subjects", _count, SynthConfig.subjects,
+            "number of synthetic subjects"),
+        Opt("--label-min", float, SynthConfig.label_min, "lower label bound"),
+        Opt("--label-max", float, SynthConfig.label_max, "upper label bound"),
+        Opt("--speed", float, SynthConfig.step_per_unit,
+            "bump displacement per frame per label unit"),
+        SEED_OPT,
+    )),
+    "train": (cmd_train, MODEL_OPTS + (
+        Opt("--data", str, None, "clip manifest to train on"),
+        Opt("--schedule", SCHEDULES, TrainConfig.schedule, "learning-rate schedule"),
+        Opt("--optimizer", OPTIMIZER_STEPS, TrainConfig.optimizer, "optimizer"),
+        Opt("--epochs", _count, TrainConfig.epochs,
+            "epoch count (default: schedule's)"),
+        Opt("--batch-size", _count, TrainConfig.batch_size, "minibatch size"),
+        Opt("--steps", _count, TrainConfig.max_steps,
+            "stop after this many optimizer steps"),
+        Opt("--loss", LOSSES, TrainConfig.loss, "training loss"),
+        Opt("--history", str, None, "write per-step loss records here"),
+        SEED_OPT,
+    )),
+    "eval": (cmd_eval, (
+        Opt("--data", str, None, "clip manifest to evaluate"),
+        Opt("--checkpoint", str, None, "model checkpoint to load"),
+        Opt("--aggregate", AGGREGATES, None, "video aggregation"),
+        Opt("--per-subject", _bool, False,
+            "also report each subject's clips on their own"),
+        Opt("--batch-size", _count, 8, "scoring batch size"),
+        FORMAT_OPT,
+    )),
+}
 
 
 def main(argv=None) -> int:
@@ -429,8 +419,8 @@ def main(argv=None) -> int:
         # argparse has printed its usage error (2) or the help (0)
         return exc.code
     try:
-        values = _resolve(ns, SUBCOMMANDS[ns.command])
-        return COMMANDS[ns.command](values)
+        command, opts = SUBCOMMANDS[ns.command]
+        return command(_resolve(ns, opts))
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

@@ -13,9 +13,9 @@ import io
 from dataclasses import dataclass, field
 
 from .blocks import ADD_RELU, UNIT_OPS
-from .model import ModelSpec, model_steps
+from .model import ModelSpec, check_name, model_steps
 
-CONVENTIONS = ("mac1", "mac2")
+CONVENTIONS = {"mac1": 1, "mac2": 2}  # FLOPs counted per multiply-accumulate
 
 
 @dataclass
@@ -30,7 +30,7 @@ class CostRow:
 @dataclass
 class CostReport:
     label: str
-    convention: str = "mac1"
+    convention: str = next(iter(CONVENTIONS))
     clip_len: int | None = None
     rows: list[CostRow] = field(default_factory=list)
 
@@ -44,7 +44,7 @@ class CostReport:
 
     @property
     def total_flops(self) -> int:
-        return self.total_macs * (2 if self.convention == "mac2" else 1)
+        return self.total_macs * CONVENTIONS[self.convention]
 
 
 def _step_rows(name: str, op: str, layer, in_shape, out_shape) -> list:
@@ -73,7 +73,7 @@ def count_params(spec: ModelSpec) -> CostReport:
 
 
 def count_flops(spec: ModelSpec, input_geometry=None,
-                convention: str = "mac1") -> CostReport:
+                convention: str = CostReport.convention) -> CostReport:
     """Per-layer parameter and MAC accounting for a full model.
 
     One map over ``model.model_steps``, the steps the forward runs.
@@ -81,8 +81,7 @@ def count_flops(spec: ModelSpec, input_geometry=None,
     ``out_extents`` is the layer's output ``(c, t, h, w)``; a block's ``sum``
     row holds the block output.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
+    check_name("convention", convention, CONVENTIONS)
     report = CostReport(label=spec.config.model_kind, convention=convention,
                         clip_len=spec.config.clip_len)
     in_shape = None

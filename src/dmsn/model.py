@@ -21,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import tensorfile
-from .blocks import (CONV_BN_RELU, INPUT, BlockConfigError, BlockSpec,
-                     RunState, _walk_back, _walk_forward, block_graph,
-                     build_block, hash_once, unit_param_shapes)
+from .blocks import (BRANCH_COUNTS, CONV_BN_RELU, INPUT, BlockConfigError,
+                     BlockSpec, RunState, _walk_back, _walk_forward,
+                     block_graph, build_block, hash_once, unit_param_shapes)
 from .ops import (POOL_GEOMETRY, ConvLayerSpec, ShapeError, conv_output_shape,
                   window_output_shape)
 
@@ -39,7 +39,13 @@ CKPT_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """A model configuration that cannot be realized."""
+    """A model or training configuration that cannot be realized."""
+
+
+def check_name(what: str, name, valid) -> None:
+    """A name outside ``valid`` is a ConfigError that lists the valid ones."""
+    if name not in valid:
+        raise ConfigError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
 
 
 class CheckpointError(ValueError):
@@ -56,15 +62,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.model_kind!r}; "
-                              f"valid: {', '.join(MODEL_KINDS)}")
+        check_name("model kind", self.model_kind, MODEL_KINDS)
         if self.clip_len < 2 or self.clip_len % 2:
             raise ConfigError(f"clip_len must be even and >= 2, got {self.clip_len}")
         if min(self.input_size) < 1:
             raise ConfigError(f"input_size must be positive, got {self.input_size}")
-        if not 2 <= self.branch_count <= 4:
-            raise ConfigError(f"branch_count must be 2..4, got {self.branch_count}")
+        if self.branch_count not in BRANCH_COUNTS:
+            raise ConfigError(f"branch_count must be {BRANCH_COUNTS[0]}.."
+                              f"{BRANCH_COUNTS[-1]}, got {self.branch_count}")
         w = Fraction(self.width_multiplier)
         object.__setattr__(self, "width_multiplier", w)
         if not 0 < w <= 1:
@@ -124,12 +129,13 @@ def model_plan(spec: ModelSpec, input_shape=None) -> tuple:
     Each step reads the one before it.
 
     ``input_shape`` defaults to one clip of the configured geometry; any other
-    than ``(n, 3, clip_len, h, w)`` raises ShapeError.  The plan is built once
-    per spec and input shape.
+    than ``(n, 3, clip_len, h, w)`` in whole numbers, ``n >= 1``, raises
+    ShapeError.  The plan is built once per spec and input shape.
     """
     want = expected_clip_shape(spec, 1)
     shape = want if input_shape is None else tuple(input_shape)
-    if len(shape) != 5 or shape[1:] != want[1:]:
+    if (len(shape) != 5 or not all(isinstance(v, (int, np.integer)) for v in shape)
+            or shape[1:] != want[1:] or shape[0] < 1):
         raise ShapeError(f"clip shape {shape} does not match expected "
                          f"(n, 3, {want[2]}, {want[3]}, {want[4]})")
     return _model_plan(spec, shape)
@@ -212,15 +218,16 @@ def backward_from_cache(spec: ModelSpec, params: dict, cache: dict,
 
 # -- checkpoint container ----------------------------------------------------
 
+def _config_items(config: ModelConfig) -> dict:
+    """The checkpoint config text's keys, in order, and their values."""
+    h, w = config.input_size
+    return dict(model_kind=config.model_kind, clip_len=config.clip_len,
+                input_h=h, input_w=w, branch_count=config.branch_count,
+                width_multiplier=config.width_multiplier, seed=config.seed)
+
+
 def config_to_text(config: ModelConfig) -> str:
-    return "".join(f"{k}={v}\n" for k, v in (
-        ("model_kind", config.model_kind),
-        ("clip_len", config.clip_len),
-        ("input_h", config.input_size[0]),
-        ("input_w", config.input_size[1]),
-        ("branch_count", config.branch_count),
-        ("width_multiplier", config.width_multiplier),
-        ("seed", config.seed)))
+    return "".join(f"{k}={v}\n" for k, v in _config_items(config).items())
 
 
 def config_from_text(text: str) -> ModelConfig:
@@ -235,20 +242,17 @@ def config_from_text(text: str) -> ModelConfig:
             raise CheckpointError(f"config text repeats key {key!r}")
         fields[key] = value
     try:
-        values = dict(
-            model_kind=fields.pop("model_kind"),
-            clip_len=int(fields.pop("clip_len")),
-            input_size=(int(fields.pop("input_h")), int(fields.pop("input_w"))),
-            branch_count=int(fields.pop("branch_count")),
-            width_multiplier=Fraction(fields.pop("width_multiplier")),
-            seed=int(fields.pop("seed")))
+        # each value parses as the type of the default config's
+        values = {key: type(default)(fields.pop(key)) for key, default
+                  in _config_items(ModelConfig()).items()}
     except KeyError as exc:
         raise CheckpointError(f"config text missing field {exc}") from None
     except (ValueError, ZeroDivisionError) as exc:
         raise CheckpointError(f"config text has a bad value: {exc}") from None
     if fields:
         raise CheckpointError(f"config text has unknown key {min(fields)!r}")
-    return ModelConfig(**values)
+    size = values.pop("input_h"), values.pop("input_w")
+    return ModelConfig(input_size=size, **values)
 
 
 def _pad_shape5(shape: tuple) -> tuple:

@@ -23,7 +23,7 @@ import numpy as np
 MAGIC = b"DMSN"
 VERSION = 1
 _DTYPE_BY_CODE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_CODE_BY_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_CODE_BY_KIND = {dtype: code for code, dtype in _DTYPE_BY_CODE.items()}
 _HEADER = struct.Struct("<4sII5I")
 
 

@@ -10,7 +10,8 @@ import numpy as np
 
 from .blocks import RunState
 from .model import (ModelConfig, ModelSpec, backward_from_cache, build_model,
-                    forward_with_state, init_params, model_forward)
+                    check_name, forward_with_state, init_params,
+                    model_forward)
 
 
 class TrainingDiverged(RuntimeError):
@@ -61,7 +62,7 @@ class OptimizerState:
     """One optimizer's per-entry float64 ``slots``: views into one buffer
     per chunk of entries, which each step updates in place."""
 
-    kind: str                      # "sgd" | "adam"
+    kind: str                      # a key of OPTIMIZER_STEPS
     lr: float
     step_count: int = field(default=0, init=False)
     slots: dict[str, object] = field(default_factory=dict, init=False)
@@ -70,8 +71,7 @@ class OptimizerState:
 
 
 def init_optimizer(kind: str, lr: float) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
+    check_name("optimizer", kind, OPTIMIZER_STEPS)
     return OptimizerState(kind=kind, lr=lr)
 
 
@@ -230,6 +230,9 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
+        for name, valid in (("optimizer", OPTIMIZER_STEPS),
+                            ("schedule", SCHEDULES), ("loss", LOSSES)):
+            check_name(name, getattr(self, name), valid)
         for name in ("epochs", "batch_size", "max_steps"):
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -10,6 +10,9 @@ import pytest
 
 from dmsn import cli
 from dmsn.cli import main
+from dmsn.complexity import CONVENTIONS
+from dmsn.model import MODEL_KINDS
+from dmsn.training import LOSSES, OPTIMIZER_STEPS, SCHEDULES
 
 
 def run(capsys, *argv):
@@ -113,6 +116,14 @@ class TestCount:
         assert code == 2 and out == ""
         assert "unknown format 'xml'; valid: text, csv" in err
 
+    def test_every_listed_model_kind_is_checked(self, tmp_path, capsys):
+        out = tmp_path / "table.txt"
+        code, stdout, err = run(capsys, "count", "--model", "dmsn-a,resnet",
+                                "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == ("usage error: unknown model 'resnet'; valid: dmsn, "
+                       "dmsn-a, dmsn-b, dmsn-c\n")
+
     @pytest.mark.parametrize("flag", ["--frames", "--model"])
     def test_empty_list_is_usage_error(self, tmp_path, capsys, flag):
         out = tmp_path / "table.txt"
@@ -164,6 +175,34 @@ def test_undeclared_flag_is_usage_error(capsys, argv):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "describe", "--help")
     assert code == 0 and out.startswith("usage: dmsn describe")
+
+
+# each choice flag's library collection, the one home of its valid names
+CHOICES = {
+    "describe": {"--model": MODEL_KINDS},
+    "count": {"--model": MODEL_KINDS, "--convention": CONVENTIONS,
+              "--format": cli.FORMATS},
+    "gradcheck": {},
+    "synth": {},
+    "train": {"--model": MODEL_KINDS, "--schedule": SCHEDULES,
+              "--optimizer": OPTIMIZER_STEPS, "--loss": LOSSES},
+    "eval": {"--aggregate": cli.AGGREGATES, "--format": cli.FORMATS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHOICES))
+def test_help_lists_each_choice_flags_collection(capsys, monkeypatch, command):
+    assert {opt.flag for opt in cli.SUBCOMMANDS[command][1]
+            if not callable(opt.parse)} == set(CHOICES[command])
+    monkeypatch.setenv("COLUMNS", "500")   # no hyphen breaks a wrapped name
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    # argparse's layout differs across Python versions: read the words only
+    options = " ".join(out.split()).split("show this help message and exit")[1]
+    for flag, collection in CHOICES[command].items():
+        metavar = flag[2:].upper().replace("-", "_")
+        entry = options.split(f" {flag} {metavar} ")[1].split(" --")[0]
+        assert entry.rsplit(": ", 1)[1].split(", ") == list(collection), flag
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -503,7 +542,7 @@ def test_every_declared_option_is_read(tmp_path, monkeypatch):
             patch.setattr(cli, "run_gradient_suites",
                           lambda seed, inject_bug: [])
             assert main([command] + argv) == 0, command
-        declared = {opt.dest for opt in cli.SUBCOMMANDS[command]
+        declared = {opt.dest for opt in cli.SUBCOMMANDS[command][1]
                     + cli.GLOBAL_OPTS} - {"config"}   # _resolve consumes it
         assert declared - reads == set(), command
 

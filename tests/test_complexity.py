@@ -88,6 +88,13 @@ class TestCountFlops:
         with pytest.raises(ShapeError, match=r"\(n, 3, 16, 112, 112\)"):
             count_flops(build_model(ModelConfig()), input_geometry=geometry)
 
+    @pytest.mark.parametrize("batch", [0, -1, 2.5])
+    def test_batch_extent_must_be_a_positive_integer(self, batch):
+        spec = build_model(ModelConfig(clip_len=8, input_size=(32, 32),
+                                       width_multiplier=Fraction(1, 8)))
+        with pytest.raises(ShapeError, match=r"\(n, 3, 8, 32, 32\)"):
+            count_flops(spec, (batch, 3, 8, 32, 32))
+
     def test_exact_clip_len_proportionality(self):
         totals = [count_flops(build_model(ModelConfig(clip_len=f))).total_macs
                   for f in (8, 16, 24, 32)]

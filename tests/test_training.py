@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dmsn import blocks, ops
+from dmsn import blocks, ops, training
 from dmsn.model import ModelConfig, build_model, init_params
 from dmsn.pipeline import SynthConfig, synth_generate
 from dmsn.training import (SCHEDULES, SGD_MOMENTUM, WEIGHT_DECAY, TrainConfig,
@@ -344,6 +344,24 @@ class TestTrainLoop:
     def test_non_positive_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, valid", [
+        ("schedule", "warmup", "pretrain, depression, pain"),
+        ("optimizer", "lbfgs", "sgd, adam"),
+        ("loss", "huber", "mse, mae")])
+    def test_unknown_name_rejected_before_any_forward(self, monkeypatch,
+                                                       field, value, valid):
+        def no_forward(*args):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr(training, "forward_with_state", no_forward)
+        with pytest.raises(ValueError, match=(f"unknown {field} '{value}'; "
+                                              f"valid: {valid}$")):
+            train(MICRO, tiny_dataset(), TrainConfig(**{field: value}))
+
+    def test_init_optimizer_lists_valid_kinds(self):
+        with pytest.raises(ValueError, match="valid: sgd, adam$"):
+            init_optimizer("lbfgs", 0.1)
 
     @pytest.mark.parametrize("batch_size", [0, -2])
     def test_predict_scores_rejects_non_positive_batch_size(self, batch_size):
