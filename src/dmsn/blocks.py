@@ -102,7 +102,7 @@ def _split_widths(total: int, parts: int) -> tuple[int, ...]:
 
 
 def build_block(variant: str, in_channels: int, out_channels: int,
-                spatial_stride: int, branch_count: int = 4) -> BlockSpec:
+                spatial_stride: int, branch_count: int) -> BlockSpec:
     """Construct a block spec for one variant.
 
     ``mid_channels = out_channels / 2``; the first Main Stage conv halves that,

@@ -20,14 +20,15 @@ from fractions import Fraction
 import numpy as np
 
 from .blocks import BRANCH_COUNTS, BlockConfigError, describe_block
-from .complexity import CONVENTIONS, CostReport, count_flops, emit_cost_table
+from .complexity import (CONVENTIONS, TABLE_FORMATS, CostReport, count_flops,
+                         emit_cost_table)
 from .gradsuite import run_gradient_suites
 from .model import (MODEL_KINDS, ConfigError, ModelConfig, build_model,
                     check_name, expected_clip_shape, load_checkpoint,
                     model_plan, save_checkpoint)
 from .pipeline import (SynthConfig, aggregate_video_score, format_synth_config,
                        load_manifest, metric_mae, metric_mse, metric_rmse,
-                       save_manifest, synth_generate)
+                       save_manifest, synth_generate, utf8_lines)
 from .training import (LOSSES, OPTIMIZER_STEPS, SCHEDULES, TrainConfig,
                        TrainingDiverged, predict_scores, save_history, train)
 
@@ -78,9 +79,8 @@ GLOBAL_OPTS = (
     Opt("--out", str, None, "output path (default: stdout / cwd)"),
 )
 SEED_OPT = Opt("--seed", _seed, 0, "random seed")
-FORMATS = ("text", "csv")
 AGGREGATES = {"median": aggregate_video_score}  # a video's score from its clips
-FORMAT_OPT = Opt("--format", FORMATS, FORMATS[0], "output format")
+FORMAT_OPT = Opt("--format", TABLE_FORMATS, [*TABLE_FORMATS][0], "output format")
 
 # every default that a library config holds is read from it
 SIZE_OPT = Opt("--size", int, ModelConfig.input_size[0],
@@ -116,29 +116,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str) -> dict[str, str]:
     values = {}
     try:
-        # surrogateescape reads past bytes that are not UTF-8 (as lone
-        # surrogates, which do not encode), so the line holding them is named
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise UsageError(
-                        f"{path}:{lineno}: not UTF-8 text") from None
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                key = key.strip().replace("-", "_")
-                if key == "config":
-                    raise UsageError(f"{path}:{lineno}: config key 'config' "
-                                     f"cannot name another config file")
-                if key in values:
-                    raise UsageError(f"{path}:{lineno}: config key {key!r} "
-                                     f"given twice")
-                values[key] = value.strip()
+        for lineno, line in utf8_lines(path):
+            if line is None:
+                raise UsageError(f"{path}:{lineno}: not UTF-8 text")
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected key=value")
+            key, value = line.split("=", 1)
+            key = key.strip().replace("-", "_")
+            if key == "config":
+                raise UsageError(f"{path}:{lineno}: config key 'config' "
+                                 f"cannot name another config file")
+            if key in values:
+                raise UsageError(f"{path}:{lineno}: config key {key!r} "
+                                 f"given twice")
+            values[key] = value.strip()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     return values
@@ -342,15 +336,16 @@ def cmd_eval(values: dict) -> int:
                             batch_size=values["batch_size"])
     labels = dataset.labels()
     rows = _metric_rows(scores, labels, dataset, values)
-    if values["format"] == "csv":
-        lines = [",".join(["scope", "subjects", "clips", *METRICS])]
-        lines += [f"{scope},{subj},{n}" + "".join(f",{v:.6f}" for v in metrics)
-                  for scope, subj, n, *metrics in rows]
+    if values["format"] == "text":   # eval's own layout: one labeled row each
+        text = "".join(f"{scope:<14} {subj:<14} n={n:<5} " + "  ".join(
+            f"{name} {v:.6f}" for name, v in zip(METRICS, metrics)) + "\n"
+            for scope, subj, n, *metrics in rows)
     else:
-        lines = [f"{scope:<14} {subj:<14} n={n:<5} " + "  ".join(
-                     f"{name} {v:.6f}" for name, v in zip(METRICS, metrics))
-                 for scope, subj, n, *metrics in rows]
-    _emit("\n".join(lines) + "\n", values["out"])
+        text = TABLE_FORMATS[values["format"]](
+            ("scope", "subjects", "clips", *METRICS),
+            [(scope, subj, str(n), *(f"{v:.6f}" for v in metrics))
+             for scope, subj, n, *metrics in rows])
+    _emit(text, values["out"])
     return 0
 
 

@@ -91,25 +91,36 @@ def count_flops(spec: ModelSpec, input_geometry=None,
     return report
 
 
+def _text_table(header, rows) -> str:
+    """Columns padded to their widest entry, two spaces apart."""
+    widths = [max(len(row[i]) for row in [header, *rows])
+              for i in range(len(header))]
+    lines = ["  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip()
+             for row in [header, *rows]]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_table(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+# the output formats: each writes a header and rows of strings; the first is
+# the default
+TABLE_FORMATS = {"text": _text_table, "csv": _csv_table}
+
+
 def emit_cost_table(reports: list[CostReport], format: str) -> str:
     """Summary table, one row per report, in the order given."""
     if not reports:
         raise ValueError("emit_cost_table needs at least one report")
+    check_name("format", format, TABLE_FORMATS)
     header = ("model", "params_M", "flops_G", "convention", "clip_len")
     table = [(r.label, f"{r.total_params / 1e6:.1f}",
               f"{r.total_flops / 1e9:.2f}", r.convention,
               str(r.clip_len if r.clip_len is not None else ""))
              for r in reports]
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(table)
-        return buf.getvalue()
-    if format == "text":
-        widths = [max(len(row[i]) for row in [header, *table])
-                  for i in range(len(header))]
-        lines = ["  ".join(col.ljust(w) for col, w in zip(row, widths)).rstrip()
-                 for row in [header, *table]]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be 'text' or 'csv', got {format!r}")
+    return TABLE_FORMATS[format](header, table)

@@ -32,6 +32,13 @@ of one preallocated output; the weight gradient adds the per-sample products
 into one accumulator one sample at a time in sample order, the order in
 which a sum over the batch axis adds them.
 
+A gather that copies windows of at most ``_INDEX_GATHER_BYTES`` per sample
+(every desk gather but the stem's) reads them with one ``take`` through an
+index plan instead (:func:`_gathers`), with the same bytes: a strided copy
+whose output rows hold a few elements runs several times slower.  A conv
+call's geometry and argument checks are worked out once per shape
+(:func:`_conv_geometry`).
+
 The max pool forward is separable and keeps only values; its backward makes
 one pass per kernel offset over strided views.  A window holding a NaN pools
 to NaN.
@@ -44,6 +51,8 @@ given one.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +76,7 @@ def check_tensor5(x: np.ndarray) -> None:
     if not isinstance(x, np.ndarray) or x.ndim != 5:
         raise ShapeError("input must be a 5-d array (n, c, t, h, w), got "
                          f"{getattr(x, 'shape', None)}")
-    if any(e < 1 for e in x.shape):
+    if 0 in x.shape:
         raise ShapeError(f"input has an empty extent: {x.shape}")
 
 
@@ -161,8 +170,10 @@ def _pad5(x: np.ndarray, padding, value=0.0) -> np.ndarray:
     if pt == 0 and ph == 0 and pw == 0:
         return x
     n, c, t, h, w = x.shape
-    xp = np.full((n, c, t + 2 * pt, h + 2 * ph, w + 2 * pw), value,
-                 dtype=x.dtype)
+    shape = (n, c, t + 2 * pt, h + 2 * ph, w + 2 * pw)
+    # np.zeros is the C call; np.full is a Python wrapper around a fill
+    xp = (np.zeros(shape, x.dtype) if value == 0
+          else np.full(shape, value, x.dtype))
     _crop5(xp, padding, x.shape)[...] = x
     return xp
 
@@ -175,33 +186,47 @@ def _crop5(xp: np.ndarray, padding, shape) -> np.ndarray:
 
 
 def _taps(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
-    """Gather the ``(c*kh*kw)`` spatial windows of every padded frame once and
-    return what each temporal tap meets in them, as
-    ``(kt, n, c*kh*kw, to*ho*wo)``: tap ``dt`` reads frames ``dt, dt + st,
-    ..., dt + st*(to-1)``, its rows match ``weights[:, :, dt]`` reshaped to
-    ``(out_c, c*kh*kw)``, and ``W @ tap[i]`` is sample ``i``'s output in
-    NCTHW order.  At temporal stride 1 the taps are views of the one gather,
-    which for a conv 1 wide, unpadded and unstrided in h and w is a view of
-    the input.
-    """
+    """Gather the ``(c*kh*kw)`` spatial windows of every padded frame once
+    (:func:`_windows`) and return what each temporal tap meets in them
+    (:func:`_tap_views`)."""
+    return _tap_views(_windows(xp, kernel, stride, out_tail), kernel[0],
+                      stride[0], out_tail)
+
+
+def _windows(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
+    """The ``(c*kh*kw)`` spatial windows of every padded frame, as a
+    contiguous ``(n, c*kh*kw, t_pad*ho*wo)``: a copy of a strided view of
+    ``xp``, or for a conv 1 wide, unpadded and unstrided in h and w a view of
+    the input."""
     xp = np.ascontiguousarray(xp)
     n, c, t_pad = xp.shape[:3]
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    to, ho, wo = out_tail
+    _, kh, kw = kernel
+    _, sh, sw = stride
+    _, ho, wo = out_tail
     sn, sc, s0, s1, s2 = xp.strides
     # The view np.lib.stride_tricks.as_strided would make, at a fifth of its
     # cost (~1.5 vs ~8 us), which counts on the small convs of a desk step.
     view = np.ndarray((n, c, kh, kw, t_pad, ho, wo), xp.dtype, xp, 0,
                       (sn, sc, s1, s2, s0, s1 * sh, s2 * sw))
     view.flags.writeable = False
-    # Contiguous, as the view below needs; this is where windows are copied.
-    cols = np.ascontiguousarray(view.reshape(n, c * kh * kw, t_pad * ho * wo))
-    sn, sr, _ = cols.strides
+    # Contiguous, as the tap views need; this is where windows are copied.
+    return np.ascontiguousarray(view.reshape(n, c * kh * kw, t_pad * ho * wo))
+
+
+def _tap_views(cols: np.ndarray, kt: int, st: int, out_tail) -> np.ndarray:
+    """What each temporal tap meets in the contiguous windows ``cols``,
+    ``(n, c*kh*kw, t_pad*ho*wo)``, as ``(kt, n, c*kh*kw, to*ho*wo)``: tap
+    ``dt`` reads frames ``dt, dt + st, ..., dt + st*(to-1)``, its rows match
+    ``weights[:, :, dt]`` reshaped to ``(out_c, c*kh*kw)``, and
+    ``W @ tap[i]`` is sample ``i``'s output in NCTHW order.  At temporal
+    stride 1 the taps are views of ``cols``."""
+    n, rows = cols.shape[:2]
+    to, ho, wo = out_tail
+    sn, sr = cols.strides[:2]
     sf = ho * wo * cols.itemsize                # one frame
-    taps = np.ndarray((kt, n, c * kh * kw, to, ho * wo), cols.dtype, cols, 0,
+    taps = np.ndarray((kt, n, rows, to, ho * wo), cols.dtype, cols, 0,
                       (sf, sn, sr, sf * st, cols.itemsize))
-    return taps.reshape(kt, n, c * kh * kw, to * ho * wo)
+    return taps.reshape(kt, n, rows, to * ho * wo)
 
 
 def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
@@ -219,16 +244,68 @@ def _im2col(xp: np.ndarray, kernel, stride, out_tail) -> np.ndarray:
 # Bytes one :func:`_taps` gather may take: a batch whose windows take more is
 # gathered, and its GEMMs run, a group of whole samples at a time.
 _GATHER_BYTES = 1 << 22
+# Bytes of one sample's windows up to which a gather that copies takes them
+# through an index plan (:func:`_window_index`).  A strided copy whose output
+# rows hold 1-8 elements, as the desk's res3-res5 convs' do, runs at ~5 ns
+# per element, several times slower than ``take``.  Larger gathers stay
+# strided: full-width res2's long rows copy 3x faster that way, and plans for
+# the full-width convs raised eval-full's peak RSS by ~17 MB.  The desk's
+# largest planned gather takes 72 KiB a sample; its stem (2.1 MB) and the
+# smallest copying full-width gather (256 KiB) stay strided.
+_INDEX_GATHER_BYTES = 1 << 17
 
 
-def _sample_groups(xp: np.ndarray, kernel, out_tail) -> list[slice]:
-    """Slices of ``xp``'s samples, in order, each as many whole samples as
-    :func:`_taps` can gather within ``_GATHER_BYTES`` (one at least), so a
-    batch that fits is one slice over it all."""
-    n, c, t_pad = xp.shape[:3]
-    sample = c * kernel[1] * kernel[2] * t_pad * out_tail[1] * out_tail[2]
-    step = max(1, _GATHER_BYTES // (sample * xp.itemsize))
+def _sample_groups(n: int, sample_bytes: int) -> list[slice]:
+    """Slices of ``n`` samples, in order, each as many whole samples as one
+    gather of ``sample_bytes`` per sample can take within ``_GATHER_BYTES``
+    (one at least), so a batch that fits is one slice over it all."""
+    step = max(1, _GATHER_BYTES // sample_bytes)
     return [slice(i, i + step) for i in range(0, n, step)]
+
+
+@functools.lru_cache(maxsize=256)
+def _window_index(shape, kernel, stride, padding, out_tail) -> np.ndarray:
+    """The index plan of a gather: for one sample of ``shape`` ``(c, t, h,
+    w)``, flattened with one zero appended, the position each value of its
+    :func:`_taps` windows is read from, in their order; a window value in
+    the padding reads the zero.  Read-only, and built once per geometry."""
+    size = math.prod(shape)
+    at = np.arange(size).reshape((1,) + shape)
+    index = _windows(_pad5(at, padding, value=size), kernel, stride,
+                     out_tail).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def _gathers(a: np.ndarray, kernel, stride, padding, out_tail):
+    """Yield ``(s, taps)``: the :func:`_taps` of ``a`` padded by ``padding``,
+    a group of whole samples ``s`` at a time (:func:`_sample_groups`).
+
+    A gather that copies (``kh*kw > 1`` or a spatial stride above 1) with at
+    most ``_INDEX_GATHER_BYTES`` of windows per sample does not pad ``a``:
+    each group's windows are one ``take`` through the index plan
+    (:func:`_window_index`) from ``a``'s samples, flattened, each with one
+    zero appended.  The bytes are those of the strided copy.
+    """
+    n, c, t = a.shape[:3]
+    kt, kh, kw = kernel
+    rows = c * kh * kw
+    row = (t + 2 * padding[0]) * out_tail[1] * out_tail[2]
+    sample = rows * row * a.itemsize
+    groups = _sample_groups(n, sample)
+    if ((kh * kw > 1 or stride[1] * stride[2] > 1)
+            and sample <= _INDEX_GATHER_BYTES):
+        index = _window_index(a.shape[1:], kernel, stride, padding, out_tail)
+        flat = np.empty((n, a[0].size + 1), a.dtype)
+        flat[:, -1] = 0
+        flat[:, :-1].reshape(a.shape)[...] = a   # a view: rows are contiguous
+        for s in groups:
+            yield s, _tap_views(flat[s].take(index, axis=1).reshape(
+                -1, rows, row), kt, stride[0], out_tail)
+    else:
+        xp = _pad5(a, padding)
+        for s in groups:
+            yield s, _taps(xp[s], kernel, stride, out_tail)
 
 
 def _place(out, part: np.ndarray, s: slice, n: int) -> np.ndarray:
@@ -284,17 +361,19 @@ def _col2im(gcols: np.ndarray, x_shape, kernel, stride, padding, out_tail):
     return _crop5(gxp, padding, x_shape)
 
 
-def _check_conv_args(x, spec, weights, bias):
-    check_tensor5(x)
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(f"channel axis: input has {x.shape[1]} channels, "
+@functools.lru_cache(maxsize=1024)
+def _conv_geometry(spec: ConvLayerSpec, x_shape, w_shape):
+    """``(output shape, flipped-kernel padding)`` of ``spec`` on a 5-d input
+    of ``x_shape`` with weights of ``w_shape``, after checking them.  Worked
+    out once per shape: the cache keeps only what returns, so a bad shape
+    raises on every call."""
+    if x_shape[1] != spec.in_channels:
+        raise ShapeError(f"channel axis: input has {x_shape[1]} channels, "
                          f"layer expects {spec.in_channels}")
-    if weights.shape != spec.weight_shape:
-        raise ShapeError(f"weights shape {weights.shape} does not match "
+    if w_shape != spec.weight_shape:
+        raise ShapeError(f"weights shape {w_shape} does not match "
                          f"spec {spec.weight_shape}")
-    if bias is not None and bias.shape != (spec.out_channels,):
-        raise ShapeError(f"bias shape {bias.shape}, expected "
-                         f"({spec.out_channels},)")
+    return conv_output_shape(x_shape, spec), _flip_pad(spec)
 
 
 def conv3d_forward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
@@ -308,17 +387,19 @@ def conv3d_forward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     are added in tap order.  At temporal stride 1 each tap is a view of the
     one gather.  A batch whose gather would exceed ``_GATHER_BYTES`` is
     gathered and multiplied a group of whole samples at a time, with the same
-    bytes (:func:`_sample_groups`).  ``bias`` is added per output channel;
+    bytes (:func:`_gathers`).  ``bias`` is added per output channel;
     no model conv has one, and its gradient is ``grad_out`` summed over every
     axis but channels.
     """
-    _check_conv_args(x, spec, weights, bias)
-    n, co, to, ho, wo = conv_output_shape(x.shape, spec)
-    xp = _pad5(x, spec.padding)
+    check_tensor5(x)
+    (n, co, to, ho, wo), _ = _conv_geometry(spec, x.shape, weights.shape)
+    if bias is not None and bias.shape != (co,):
+        raise ShapeError(f"bias shape {bias.shape}, expected ({co},)")
     y = None
-    for s in _sample_groups(xp, spec.kernel, (to, ho, wo)):
-        y = _place(y, _correlate(_taps(xp[s], spec.kernel, spec.stride,
-                                       (to, ho, wo)), weights), s, n)
+    for s, taps in _gathers(x, spec.kernel, spec.stride, spec.padding,
+                            (to, ho, wo)):
+        y = _place(y, _correlate(taps, weights), s, n)
+        del taps            # before the next group's gather
     if counter is not None:
         counter.add(n * spec.weight_count * to * ho * wo)
     if bias is not None:
@@ -359,13 +440,13 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     GEMM calls of the small temporal convs of a desk step, and the flipped
     path would add their taps in reverse order.
 
-    Both paths gather a group of whole samples at a time within
-    ``_GATHER_BYTES`` (:func:`_sample_groups`) and add the per-sample weight
-    gradients in sample order (:func:`_add_samples`), so the bytes do not
-    depend on the grouping.
+    Both paths gather as the forward does (:func:`_gathers`), a group of
+    whole samples at a time within ``_GATHER_BYTES``, and add the per-sample
+    weight gradients in sample order (:func:`_add_samples`), so the bytes do
+    not depend on the grouping.
     """
-    _check_conv_args(x, spec, weights, None)
-    out_shape = conv_output_shape(x.shape, spec)
+    check_tensor5(x)
+    out_shape, flip_pad = _conv_geometry(spec, x.shape, weights.shape)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {out_shape}")
     n, co, to, ho, wo = out_shape
@@ -374,13 +455,11 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
     w = weights.astype(x.dtype, copy=False)
     go = grad_out.astype(x.dtype, copy=False)
     gx = gw = None
-    flip_pad = _flip_pad(spec)
     if flip_pad is not None:
-        gop = _pad5(go, flip_pad)
         x3 = x.reshape(n, ci, -1)
         flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        for s in _sample_groups(gop, spec.kernel, x.shape[2:]):
-            windows = _taps(gop[s], spec.kernel, (1, 1, 1), x.shape[2:])
+        for s, windows in _gathers(go, spec.kernel, (1, 1, 1), flip_pad,
+                                   x.shape[2:]):
             gw = _add_samples(gw, _gemm(x3[s], windows.transpose(0, 1, 3, 2)))
             if need_input_grad:
                 gx = _place(gx, _correlate(windows, flipped), s, n)
@@ -391,13 +470,12 @@ def conv3d_backward(x: np.ndarray, spec: ConvLayerSpec, weights: np.ndarray,
             gx = gx.reshape(x.shape)
     else:
         go3 = go.reshape(n, co, -1)
-        xp = _pad5(x, spec.padding)
-        for s in _sample_groups(xp, spec.kernel, (to, ho, wo)):
+        for s, taps in _gathers(x, spec.kernel, spec.stride, spec.padding,
+                                (to, ho, wo)):
             # taps @ go.T, the transpose of go @ taps.T, puts the window rows
             # on the GEMM's long side: twice as fast for the stem.
-            gw = _add_samples(gw, _gemm(
-                _taps(xp[s], spec.kernel, spec.stride, (to, ho, wo)),
-                go3[s].transpose(0, 2, 1)))
+            gw = _add_samples(gw, _gemm(taps, go3[s].transpose(0, 2, 1)))
+            del taps
         gw = gw.reshape(kt, ci, kh, kw, co).transpose(4, 1, 0, 2, 3)
         if need_input_grad:
             gx = _col2im(_gemm(w.reshape(co, -1).T, go3), x.shape, spec.kernel,
@@ -572,8 +650,19 @@ def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_backward(output: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Mask ``grad_out`` by ``output > 0``, which holds where the input did."""
-    return np.where(output > 0, grad_out, 0)
+    """Mask ``grad_out`` by ``output > 0``, which holds where the input did:
+    the bits of ``np.where(output > 0, grad_out, 0)``, a masked lane +0.0.
+
+    Without a branch: ``output > 0`` becomes unsigned integers of the
+    gradient's item width, all ones or zero, ANDed with the gradient's bits.
+    A mask true about half the time at random makes ``np.where``'s select
+    mispredict; this form is ~10x faster on a desk step's maps.
+    """
+    bits = np.dtype(f"u{grad_out.itemsize}")
+    mask = (output > 0).astype(bits)
+    np.negative(mask, out=mask)
+    mask &= grad_out.view(bits)
+    return mask.view(grad_out.dtype)
 
 
 def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,

@@ -252,18 +252,20 @@ def _synth_video(cfg: SynthConfig, rng: np.random.Generator, subject: str,
     cy = cfg.height / 2.0 + rng.uniform(-1.0, 1.0)
     cx = cfg.width / 2.0 + rng.uniform(-1.0, 1.0)
     amplitude = rng.uniform(0.5, 1.0, size=3)
+    # every frame's bump at once, (t, h, w) in float64; each channel's
+    # float64 product is rounded straight into the float32 clip
+    theta = (theta0 + np.arange(cfg.clip_len) * dtheta)[:, None, None]
     ys = np.arange(cfg.height, dtype=np.float64)[:, None]
     xs = np.arange(cfg.width, dtype=np.float64)[None, :]
+    bump = (ys - (cy + radius * np.sin(theta))) ** 2
+    bump = bump + (xs - (cx + radius * np.cos(theta))) ** 2
+    np.negative(bump, out=bump)
+    bump /= 2.0 * BUMP_SIGMA ** 2
+    np.exp(bump, out=bump)
     data = np.empty((3, cfg.clip_len, cfg.height, cfg.width),
                     dtype=np.float32)
-    for t in range(cfg.clip_len):
-        theta = theta0 + t * dtheta
-        py = cy + radius * np.sin(theta)
-        px = cx + radius * np.cos(theta)
-        bump = np.exp(-((ys - py) ** 2 + (xs - px) ** 2)
-                      / (2.0 * BUMP_SIGMA ** 2))
-        for ch in range(3):
-            data[ch, t] = amplitude[ch] * bump
+    for ch in range(3):
+        np.multiply(amplitude[ch], bump, out=data[ch], casting="same_kind")
     return VideoRecord(subject, video, data, "video", video_label=label)
 
 
@@ -298,6 +300,21 @@ def format_synth_config(cfg: SynthConfig) -> str:
 # -- manifest ------------------------------------------------------------------
 
 _MANIFEST_FIELDS = 5
+
+
+def utf8_lines(path):
+    """Yield ``(lineno, line)`` for the lines of the text file at ``path``,
+    numbered from 1, each with its newline; ``line`` is None for a line
+    holding bytes that are not UTF-8, so the caller can name it.  Decoding
+    with surrogateescape reads past such bytes (as lone surrogates, which do
+    not encode) to the lines after them."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                line = None
+            yield lineno, line
 
 
 def save_manifest(dataset: ClipDataset, manifest_path, data_dir=None) -> None:
@@ -336,52 +353,47 @@ def load_manifest(path) -> ClipDataset:
     base = os.path.dirname(path) or "."
     clips = []
     clip_len = frame = None
-    # surrogateescape reads past bytes that are not UTF-8 (as lone
-    # surrogates, which do not encode), so the line holding them is named
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ManifestError(f"line {lineno}: not UTF-8 text") from None
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != _MANIFEST_FIELDS:
-                raise ManifestError(f"line {lineno}: expected "
-                                    f"{_MANIFEST_FIELDS} tab-separated fields, "
-                                    f"got {len(parts)}")
-            subject, video, index_text, tensor_file, label_text = parts
-            try:
-                index = int(index_text)
-                label = float(label_text)
-            except ValueError:
-                raise ManifestError(f"line {lineno}: bad numeric field") from None
-            if not np.isfinite(label):
-                raise ManifestError(f"line {lineno}: label {label_text!r} of "
-                                    f"{tensor_file} is not finite")
-            tensor_path = os.path.join(base, tensor_file)
-            try:
-                tensor = tensorfile.read_tensor(tensor_path)
-            except (OSError, tensorfile.TensorFileError) as exc:
-                raise ManifestError(f"line {lineno}: tensor file "
-                                    f"{tensor_file}: {exc}") from exc
-            n, c, t, h, w = tensor.shape
-            if n != 1:
-                raise ManifestError(f"line {lineno}: clip tensor holds {n} "
-                                    f"samples, expected 1")
-            if c != 3:
-                raise ManifestError(f"line {lineno}: clip tensor has {c} "
-                                    f"channels, expected 3")
-            if clip_len is None:
-                clip_len, frame = t, (h, w)
-            elif t != clip_len:
-                raise ManifestError(f"line {lineno}: clip length "
-                                    f"{t} != {clip_len}")
-            elif (h, w) != frame:
-                raise ManifestError(f"line {lineno}: frame size {(h, w)} "
-                                    f"!= {frame}")
-            clips.append(Clip(subject, video, index, label, data=tensor[0],
-                              tensor_file=tensor_file))
+    for lineno, line in utf8_lines(path):
+        if line is None:
+            raise ManifestError(f"line {lineno}: not UTF-8 text")
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != _MANIFEST_FIELDS:
+            raise ManifestError(f"line {lineno}: expected "
+                                f"{_MANIFEST_FIELDS} tab-separated fields, "
+                                f"got {len(parts)}")
+        subject, video, index_text, tensor_file, label_text = parts
+        try:
+            index = int(index_text)
+            label = float(label_text)
+        except ValueError:
+            raise ManifestError(f"line {lineno}: bad numeric field") from None
+        if not np.isfinite(label):
+            raise ManifestError(f"line {lineno}: label {label_text!r} of "
+                                f"{tensor_file} is not finite")
+        tensor_path = os.path.join(base, tensor_file)
+        try:
+            tensor = tensorfile.read_tensor(tensor_path)
+        except (OSError, tensorfile.TensorFileError) as exc:
+            raise ManifestError(f"line {lineno}: tensor file "
+                                f"{tensor_file}: {exc}") from exc
+        n, c, t, h, w = tensor.shape
+        if n != 1:
+            raise ManifestError(f"line {lineno}: clip tensor holds {n} "
+                                f"samples, expected 1")
+        if c != 3:
+            raise ManifestError(f"line {lineno}: clip tensor has {c} "
+                                f"channels, expected 3")
+        if clip_len is None:
+            clip_len, frame = t, (h, w)
+        elif t != clip_len:
+            raise ManifestError(f"line {lineno}: clip length "
+                                f"{t} != {clip_len}")
+        elif (h, w) != frame:
+            raise ManifestError(f"line {lineno}: frame size {(h, w)} "
+                                f"!= {frame}")
+        clips.append(Clip(subject, video, index, label, data=tensor[0],
+                          tensor_file=tensor_file))
     return ClipDataset(clip_len or 0, clips)

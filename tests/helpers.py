@@ -5,6 +5,7 @@ import numpy as np
 from dmsn.blocks import RunState, unit_backward, unit_forward
 from dmsn.ops import (POOL_GEOMETRY, ConvLayerSpec, conv_output_shape,
                       window_output_shape)
+from dmsn.pipeline import BUMP_SIGMA, VideoRecord, _synth_radius
 from dmsn.training import (ADAM_BETAS, ADAM_EPS, SGD_MOMENTUM, WEIGHT_DECAY,
                            _NO_DECAY_SUFFIXES)
 
@@ -148,3 +149,30 @@ def reference_optimizer_step(params, grads, state):
         out[name] = (theta - step).astype(theta.dtype, copy=False)
     state.step_count += 1
     return out
+
+
+def naive_synth_video(cfg, rng, subject, video):
+    """Oracle for ``pipeline._synth_video``: the generator as first written,
+    one frame's bump at a time, each channel a float64 product stored into
+    the float32 clip.  Draws from ``rng`` in the library's order."""
+    label = float(rng.uniform(cfg.label_min, cfg.label_max))
+    radius = _synth_radius(cfg)
+    step = cfg.step_per_unit * label
+    dtheta = 2.0 * np.arcsin(step / (2.0 * radius))
+    theta0 = rng.uniform(0, 2 * np.pi)
+    cy = cfg.height / 2.0 + rng.uniform(-1.0, 1.0)
+    cx = cfg.width / 2.0 + rng.uniform(-1.0, 1.0)
+    amplitude = rng.uniform(0.5, 1.0, size=3)
+    ys = np.arange(cfg.height, dtype=np.float64)[:, None]
+    xs = np.arange(cfg.width, dtype=np.float64)[None, :]
+    data = np.empty((3, cfg.clip_len, cfg.height, cfg.width),
+                    dtype=np.float32)
+    for t in range(cfg.clip_len):
+        theta = theta0 + t * dtheta
+        py = cy + radius * np.sin(theta)
+        px = cx + radius * np.cos(theta)
+        bump = np.exp(-((ys - py) ** 2 + (xs - px) ** 2)
+                      / (2.0 * BUMP_SIGMA ** 2))
+        for ch in range(3):
+            data[ch, t] = amplitude[ch] * bump
+    return VideoRecord(subject, video, data, "video", video_label=label)

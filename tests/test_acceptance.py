@@ -133,7 +133,7 @@ def test_a6_gradient_suite():
 def test_a7_receptive_field_impulses():
     results = []
     for variant, axis_pack in (("A", (0, 1, 3, 4)), ("C", (0, 1, 2, 3))):
-        block = build_block(variant, 8, 16, 1)
+        block = build_block(variant, 8, 16, 1, branch_count=4)
         params = init_bundle(unit_param_shapes(block_graph(block)), seed=21)
         for name in params:
             if name.endswith(".w"):

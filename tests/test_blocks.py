@@ -24,7 +24,7 @@ def block_params(block, seed=0, positive=False):
 
 class TestBuildRules:
     def test_default_width_rules_64_to_128(self):
-        block = build_block("A", 64, 128, 1)
+        block = build_block("A", 64, 128, 1, branch_count=4)
         assert block.mid_channels == 64
         assert block.reduce.in_channels == 64
         assert block.reduce.out_channels == 64
@@ -39,7 +39,7 @@ class TestBuildRules:
         assert block.shortcut is not None  # 64 != 128 forces a projection
 
     def test_variant_b_alternation_matches_index_rule(self):
-        block = build_block("B", 128, 256, 1)
+        block = build_block("B", 128, 256, 1, branch_count=4)
         kinds = [("s" if c.kernel == (1, 3, 3) else "t") for c in block.main_stage]
         assert kinds == ["s", "t", "s", "t"]
         branch_kinds_got = [("t" if c.kernel == (3, 1, 1) else "s")
@@ -61,12 +61,12 @@ class TestBuildRules:
         assert widths == (22, 21, 21)
 
     def test_identity_shortcut_rule(self):
-        assert build_block("A", 128, 128, 1).shortcut is None
-        assert build_block("A", 128, 128, 2).shortcut is not None
-        assert build_block("A", 64, 128, 1).shortcut is not None
+        assert build_block("A", 128, 128, 1, branch_count=4).shortcut is None
+        assert build_block("A", 128, 128, 2, branch_count=4).shortcut is not None
+        assert build_block("A", 64, 128, 1, branch_count=4).shortcut is not None
 
     def test_stride_lives_in_reduce_and_projection_only(self):
-        block = build_block("B", 64, 128, 2)
+        block = build_block("B", 64, 128, 2, branch_count=4)
         assert block.reduce.stride == (1, 2, 2)
         assert block.shortcut.stride == (1, 2, 2)
         assert all(c.stride == (1, 1, 1) for c in block.main_stage)
@@ -74,17 +74,17 @@ class TestBuildRules:
 
     def test_channel_arithmetic_failures_name_ratio(self):
         with pytest.raises(BlockConfigError, match="not divisible by 2"):
-            build_block("A", 16, 30, 1)
+            build_block("A", 16, 30, 1, branch_count=4)
         with pytest.raises(BlockConfigError, match="branches"):
             build_block("A", 4, 4, 1, branch_count=4)
         with pytest.raises(BlockConfigError, match="variant"):
-            build_block("D", 16, 32, 1)
+            build_block("D", 16, 32, 1, branch_count=4)
         with pytest.raises(BlockConfigError, match="branch_count"):
             build_block("A", 16, 32, 1, branch_count=5)
 
     def test_a_and_c_swap_kernel_domains(self):
-        a = build_block("A", 32, 64, 1)
-        c = build_block("C", 32, 64, 1)
+        a = build_block("A", 32, 64, 1, branch_count=4)
+        c = build_block("C", 32, 64, 1, branch_count=4)
         for ca, cc in zip(a.main_stage, c.main_stage):
             assert ca.kernel == (3, 1, 1) and cc.kernel == (1, 3, 3)
             assert (ca.in_channels, ca.out_channels) == \
@@ -97,7 +97,7 @@ class TestBuildRules:
 
 class TestForward:
     def test_zero_weights_zero_input_gives_zero(self):
-        block = build_block("A", 8, 16, 1)
+        block = build_block("A", 8, 16, 1, branch_count=4)
         params = {k: np.zeros(s)
                   for k, s in unit_param_shapes(block_graph(block)).items()}
         for k in params:
@@ -108,14 +108,14 @@ class TestForward:
         np.testing.assert_array_equal(y, 0.0)
 
     def test_output_dims_full_width_block(self):
-        block = build_block("A", 64, 128, 1)
+        block = build_block("A", 64, 128, 1, branch_count=4)
         params = block_params(block, seed=1)
         x = np.random.default_rng(0).normal(size=(1, 64, 8, 28, 28))
         y = block_forward(block, params, x, RunState("eval"))
         assert y.shape == (1, 128, 8, 28, 28)
 
     def test_spatial_stride_halves_extents(self):
-        block = build_block("C", 8, 16, 2)
+        block = build_block("C", 8, 16, 2, branch_count=4)
         params = block_params(block)
         x = np.random.default_rng(1).normal(size=(2, 8, 4, 8, 8))
         y = block_forward(block, params, x, RunState("eval"))
@@ -123,7 +123,7 @@ class TestForward:
 
     def test_matches_hand_composed_sequence(self):
         # straight-line composition from tensor-core calls, eval mode
-        block = build_block("A", 8, 16, 1)
+        block = build_block("A", 8, 16, 1, branch_count=4)
         params = block_params(block, seed=3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 8, 5, 6, 6))
@@ -152,7 +152,7 @@ class TestForward:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_zero_learned_weights_pass_residual_through(self):
-        block = build_block("B", 16, 16, 1)
+        block = build_block("B", 16, 16, 1, branch_count=4)
         assert block.shortcut is None
         params = block_params(block, seed=5)
         for name in list(params):
@@ -164,7 +164,7 @@ class TestForward:
         np.testing.assert_allclose(y, ops.relu_forward(x), atol=1e-12)
 
     def test_eval_forward_bitwise_deterministic(self):
-        block = build_block("C", 8, 16, 1)
+        block = build_block("C", 8, 16, 1, branch_count=4)
         params = block_params(block, seed=7)
         x = np.random.default_rng(8).normal(size=(1, 8, 4, 6, 6))
         y1 = block_forward(block, params, x, RunState("eval"))
@@ -172,19 +172,19 @@ class TestForward:
         assert y1.tobytes() == y2.tobytes()
 
     def test_wrong_channel_count_rejected(self):
-        block = build_block("A", 8, 16, 1)
+        block = build_block("A", 8, 16, 1, branch_count=4)
         with pytest.raises(ops.ShapeError, match="channels"):
             block_forward(block, block_params(block),
                           np.zeros((1, 4, 4, 6, 6)), RunState("eval"))
 
     def test_non_5d_input_rejected_before_the_graph_is_built(self):
-        block = build_block("A", 8, 16, 1)
+        block = build_block("A", 8, 16, 1, branch_count=4)
         with pytest.raises(ops.ShapeError, match="5-d"):
             block_forward(block, block_params(block), np.zeros((1, 8, 6, 6)),
                           RunState("eval"))
 
     def test_missing_param_names_layer(self):
-        block = build_block("A", 8, 16, 1)
+        block = build_block("A", 8, 16, 1, branch_count=4)
         params = block_params(block)
         del params["main2.w"]
         with pytest.raises(ParamLookupError, match="main2.w"):
@@ -192,7 +192,7 @@ class TestForward:
                           RunState("eval"))
 
     def test_backward_grad_shapes_match(self):
-        block = build_block("B", 8, 16, 2)
+        block = build_block("B", 8, 16, 2, branch_count=4)
         params = block_params(block, seed=9)
         x = np.random.default_rng(10).normal(size=(2, 8, 4, 8, 8))
         state = RunState(mode="train", cache={})
@@ -212,7 +212,7 @@ def support(grad, axis):
 
 class TestReceptiveFields:
     def test_tap_out_of_range(self):
-        block = build_block("A", 8, 16, 1)
+        block = build_block("A", 8, 16, 1, branch_count=4)
         x = np.ones((1, 8, 4, 4, 4))
         with pytest.raises(BlockConfigError, match="tap 5"):
             branch_input_gradient(block, block_params(block), x, 5)
@@ -228,7 +228,7 @@ class TestReceptiveFields:
     def test_impulse_support_variant_a(self, tap):
         # positive weights + positive input keep every rectifier open, so the
         # gradient support equals the receptive field exactly
-        block = build_block("A", 8, 16, 1)
+        block = build_block("A", 8, 16, 1, branch_count=4)
         params = block_params(block, seed=11, positive=True)
         rng = np.random.default_rng(12)
         x = rng.uniform(0.5, 1.5, size=(1, 8, 16, 9, 9))
@@ -240,7 +240,7 @@ class TestReceptiveFields:
 
     @pytest.mark.parametrize("tap", [1, 2, 3, 4])
     def test_impulse_support_variant_c(self, tap):
-        block = build_block("C", 8, 16, 1)
+        block = build_block("C", 8, 16, 1, branch_count=4)
         params = block_params(block, seed=13, positive=True)
         rng = np.random.default_rng(14)
         x = rng.uniform(0.5, 1.5, size=(1, 8, 9, 16, 16))
@@ -253,7 +253,7 @@ class TestReceptiveFields:
     def test_impulse_support_variant_b(self, tap, frames, rows):
         # the Main Stage alternates spatial and temporal, so the two fields
         # grow in turn
-        block = build_block("B", 8, 16, 1)
+        block = build_block("B", 8, 16, 1, branch_count=4)
         params = block_params(block, seed=17, positive=True)
         x = np.random.default_rng(18).uniform(0.5, 1.5, size=(1, 8, 12, 12, 12))
         grad = branch_input_gradient(block, params, x, tap)
@@ -264,7 +264,7 @@ class TestReceptiveFields:
 @pytest.mark.parametrize("variant", ["A", "B", "C"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_branch_input_gradient_matches_chain_oracle_bytewise(variant, dtype):
-    block = build_block(variant, 8, 16, 1)
+    block = build_block(variant, 8, 16, 1, branch_count=4)
     params = block_params(block, seed=15)
     x = np.random.default_rng(16).normal(size=(2, 8, 5, 7, 7)).astype(dtype)
     for tap in range(1, block.branch_count + 1):
@@ -275,7 +275,7 @@ def test_branch_input_gradient_matches_chain_oracle_bytewise(variant, dtype):
 
 
 def test_describe_block_lists_every_unit():
-    block = build_block("B", 64, 128, 2)
+    block = build_block("B", 64, 128, 2, branch_count=4)
     lines = describe_block(block, "res3.1.")
     text = "\n".join(lines)
     for token in ("res3.1.reduce", "res3.1.main4", "res3.1.branch1",

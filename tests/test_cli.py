@@ -10,7 +10,7 @@ import pytest
 
 from dmsn import cli
 from dmsn.cli import main
-from dmsn.complexity import CONVENTIONS
+from dmsn.complexity import CONVENTIONS, TABLE_FORMATS
 from dmsn.model import MODEL_KINDS
 from dmsn.training import LOSSES, OPTIMIZER_STEPS, SCHEDULES
 
@@ -181,12 +181,12 @@ def test_help_exits_zero(capsys):
 CHOICES = {
     "describe": {"--model": MODEL_KINDS},
     "count": {"--model": MODEL_KINDS, "--convention": CONVENTIONS,
-              "--format": cli.FORMATS},
+              "--format": TABLE_FORMATS},
     "gradcheck": {},
     "synth": {},
     "train": {"--model": MODEL_KINDS, "--schedule": SCHEDULES,
               "--optimizer": OPTIMIZER_STEPS, "--loss": LOSSES},
-    "eval": {"--aggregate": cli.AGGREGATES, "--format": cli.FORMATS},
+    "eval": {"--aggregate": cli.AGGREGATES, "--format": TABLE_FORMATS},
 }
 
 

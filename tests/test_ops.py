@@ -1,10 +1,15 @@
 """Tensor-kernel tests: forward oracles, backward finite differences, geometry."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dmsn import ops
+from dmsn.blocks import RunState
 from dmsn.gradsuite import _conv_case
+from dmsn.model import (ModelConfig, backward_from_cache, build_model,
+                        forward_with_state, init_params, model_forward)
 from dmsn.ops import ConvLayerSpec, GeometryError, ShapeError
 
 from helpers import naive_conv3d, naive_maxpool3d, random_conv_case
@@ -69,6 +74,25 @@ class TestConvForward:
         with pytest.raises(ShapeError, match="channel"):
             ops.conv3d_forward(np.zeros((1, 2, 2, 2, 2)), spec,
                                np.zeros(spec.weight_shape))
+
+    @pytest.mark.parametrize("x_shape,w_shape,match", [
+        ((1, 2, 3, 4, 4), (2, 3, 1, 3, 3), "channel"),
+        ((1, 3, 3, 4, 4), (2, 3, 3, 1, 1), "weights shape")])
+    def test_bad_shapes_fail_on_every_call(self, x_shape, w_shape, match):
+        """Geometry is worked out once per shape, and only a good shape's
+        is kept: after a good call, a bad one fails each time it is made."""
+        spec = ConvLayerSpec(3, 2, (1, 3, 3), padding=(0, 1, 1))
+        good = np.zeros((1, 3, 3, 4, 4))
+        w = np.zeros(spec.weight_shape)
+        go = np.zeros(ops.conv_output_shape(good.shape, spec))
+        ops.conv3d_forward(good, spec, w)
+        ops.conv3d_backward(good, spec, w, go)
+        x, bad_w = np.zeros(x_shape), np.zeros(w_shape)
+        for _ in range(2):
+            with pytest.raises(ShapeError, match=match):
+                ops.conv3d_forward(x, spec, bad_w)
+            with pytest.raises(ShapeError, match=match):
+                ops.conv3d_backward(x, spec, bad_w, go)
 
     def test_empty_output_is_geometry_error(self):
         spec = ConvLayerSpec(1, 1, (3, 3, 3))
@@ -225,7 +249,7 @@ class TestGroupedGathers:
         w = rng.normal(size=spec.weight_shape)
         go = rng.normal(size=ops.conv_output_shape(x_shape, spec))
         go = go.astype(dtype)
-        real = ops._sample_groups
+        real, calls = ops._sample_groups, []
 
         def run():
             y = ops.conv3d_forward(x, spec, w)
@@ -237,21 +261,103 @@ class TestGroupedGathers:
 
         monkeypatch.setattr(ops, "_GATHER_BYTES", 1 << 62)
         whole = run()
-        for size in (1, 2):
-            def budgeted(xp, kernel, out_tail):
-                """The budget of ``size`` samples' windows: ``c*kh*kw`` rows
-                over every padded frame at each output (h, w) position."""
-                n, c, t_pad = xp.shape[:3]
-                monkeypatch.setattr(ops, "_GATHER_BYTES", size * xp.itemsize
-                                    * c * kernel[1] * kernel[2] * t_pad
-                                    * out_tail[1] * out_tail[2])
-                groups = real(xp, kernel, out_tail)
-                assert [len(range(n)[s]) for s in groups] == [
-                    min(size, n - i) for i in range(0, n, size)]
-                return groups
+        # strided copies only, then index plans for every gather that copies
+        for plan_bytes in (0, 1 << 62):
+            monkeypatch.setattr(ops, "_INDEX_GATHER_BYTES", plan_bytes)
+            for size in (1, 2):
+                def budgeted(n, sample_bytes):
+                    """The budget of ``size`` samples' windows."""
+                    monkeypatch.setattr(ops, "_GATHER_BYTES",
+                                        size * sample_bytes)
+                    groups = real(n, sample_bytes)
+                    assert [len(range(n)[s]) for s in groups] == [
+                        min(size, n - i) for i in range(0, n, size)]
+                    calls.append(n)
+                    return groups
 
-            monkeypatch.setattr(ops, "_sample_groups", budgeted)
-            assert run() == whole, f"groups of {size}"
+                monkeypatch.setattr(ops, "_sample_groups", budgeted)
+                calls.clear()
+                assert run() == whole, f"groups of {size}, {plan_bytes}"
+                # one gather per forward and per backward, each grouped
+                assert calls == [x_shape[0]] * 3
+
+
+def _desk_gathers(monkeypatch, dtype):
+    """The arguments of every :func:`ops._gathers` call of one train-mode
+    desk step (batch 8, 8x32x32 clips, width 1/8) in ``dtype``."""
+    spec = build_model(ModelConfig(clip_len=8, input_size=(32, 32),
+                                   width_multiplier=Fraction(1, 8)))
+    params = {k: v.astype(dtype) for k, v in init_params(spec, 0).items()}
+    clip = np.random.default_rng(6).normal(size=(8, 3, 8, 32, 32))
+    real, seen = ops._gathers, []
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ops, "_gathers", spy)
+    state = RunState(mode="train", cache={})
+    forward_with_state(spec, params, clip.astype(dtype), state)
+    backward_from_cache(spec, params, state.cache, np.ones(8))
+    return seen
+
+
+class TestIndexPlanGathers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_copied_desk_gather_gives_the_strided_bytes(
+            self, monkeypatch, dtype):
+        real = ops._gathers
+        for a, kernel, stride, padding, out_tail in _desk_gathers(
+                monkeypatch, dtype):
+            if kernel[1] * kernel[2] == 1 and stride[1] * stride[2] == 1:
+                continue                    # a view, not a copy
+            xp = ops._pad5(a, padding)
+            got = [(s, taps.tobytes()) for s, taps
+                   in real(a, kernel, stride, padding, out_tail)]
+            assert got == [(s, ops._taps(xp[s], kernel, stride,
+                                         out_tail).tobytes())
+                           for s, _ in got], (a.shape, kernel, stride)
+
+    def test_desk_step_plans_all_but_the_stem(self, monkeypatch):
+        index = ops._window_index
+        built = []
+
+        def spy(shape, kernel, *rest):
+            built.append(kernel)
+            return index(shape, kernel, *rest)
+
+        monkeypatch.setattr(ops, "_window_index", spy)
+        seen = _desk_gathers(monkeypatch, np.float32)
+        copied = [args for args in seen if args[1][1] * args[1][2] > 1
+                  or args[2][1] * args[2][2] > 1]
+        assert (7, 7, 7) not in built
+        assert len(built) == len(copied) - 2   # the stem's two gathers
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_input_views_gather_alike(self, dtype):
+        """A channel slice of a batch is not contiguous; its samples are
+        copied into the plan's source through a view."""
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, 6, 4, 5, 6)).astype(dtype)[:, 1:4]
+        for kernel, stride, padding in (((1, 3, 3), (1, 1, 1), (0, 1, 1)),
+                                        ((3, 3, 3), (2, 2, 2), (1, 1, 1)),
+                                        ((1, 1, 1), (1, 2, 2), (0, 0, 0))):
+            out_tail = ops.window_output_shape(x.shape, kernel, stride,
+                                               padding)[2:]
+            (s, taps), = ops._gathers(x, kernel, stride, padding, out_tail)
+            want = ops._taps(ops._pad5(x, padding), kernel, stride, out_tail)
+            assert range(3)[s] == range(3) and taps.tobytes() == want.tobytes()
+
+    def test_full_width_eval_forward_builds_no_plan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"index plan built for {args}")
+
+        monkeypatch.setattr(ops, "_window_index", refuse)
+        spec = build_model(ModelConfig())
+        clip = np.random.default_rng(8).normal(
+            size=(1, 3, 16, 112, 112)).astype(np.float32)
+        scores = model_forward(spec, init_params(spec, 0), clip)
+        assert scores.shape == (1,) and np.isfinite(scores).all()
 
 
 class TestFloat32Compute:
@@ -495,6 +601,25 @@ class TestElementwiseAndLinear:
         pre = np.array([-1.0, 0.0, 3.0])
         go = np.ones(3)
         np.testing.assert_array_equal(ops.relu_backward(pre, go), [0, 0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_gives_the_bits_of_where(self, dtype):
+        """Every pair of special values, in both arrays, then random ones:
+        NaN of either sign, signed zeros and infinities, subnormals."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                            tiny, -tiny, 3 * tiny, 1.5, -2.0], dtype)
+        out, go = (a.reshape(1, 1, 1, len(special), -1)
+                   for a in np.meshgrid(special, special))
+        rng = np.random.default_rng(9)
+        for output, grad in ((out, go), (go, out),
+                             (rng.normal(size=(2, 3, 4, 5, 6)).astype(dtype),
+                              rng.normal(size=(2, 3, 4, 5, 6)).astype(dtype))):
+            got = ops.relu_backward(output, grad)
+            want = np.where(output > 0, grad, 0)
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_linear_identity(self):
         x = np.random.default_rng(0).normal(size=(4, 3))

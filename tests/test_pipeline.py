@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dmsn import pipeline
 from dmsn.pipeline import (Clip, ClipDataset, DatasetError, ManifestError,
                            SynthConfig, VideoRecord, aggregate_video_score,
                            bdi_severity_band, clip_label, dataset_from_videos,
@@ -11,6 +12,8 @@ from dmsn.pipeline import (Clip, ClipDataset, DatasetError, ManifestError,
                            metric_rmse, quantize_pspi, save_manifest,
                            segment_clips, synth_generate)
 from dmsn.tensorfile import write_tensor
+
+from helpers import naive_synth_video
 
 
 def make_video(frames, subject="s1", video="v1", label=2.0, frame_labels=None):
@@ -184,6 +187,22 @@ class TestLoso:
 
 
 class TestSynth:
+    # the desk workload's dataset, the defaults, a full-size clip length and
+    # frame, and odd extents
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(clip_count=64, clip_len=8, height=32, width=32,
+                    subjects=4, seed=1),
+        SynthConfig(),
+        SynthConfig(clip_count=4, clip_len=16, height=112, width=112, seed=5),
+        SynthConfig(clip_count=9, clip_len=7, height=17, width=23, seed=2)])
+    def test_matches_the_frame_by_frame_oracle(self, monkeypatch, cfg):
+        fast = synth_generate(cfg)
+        monkeypatch.setattr(pipeline, "_synth_video", naive_synth_video)
+        slow = synth_generate(cfg)
+        assert [c.label for c in fast.clips] == [c.label for c in slow.clips]
+        assert ([c.data.tobytes() for c in fast.clips]
+                == [c.data.tobytes() for c in slow.clips])
+
     def test_same_seed_bitwise_identical(self):
         a = synth_generate(SynthConfig(clip_count=6, clip_len=4, seed=9))
         b = synth_generate(SynthConfig(clip_count=6, clip_len=4, seed=9))

@@ -425,15 +425,16 @@ class TestDeskStep:
         spec, params, clips, labels, state = desk
         real, groups = ops._sample_groups, []
 
-        def spy(xp, kernel, out_tail):
-            groups.append((kernel, len(real(xp, kernel, out_tail))))
-            return real(xp, kernel, out_tail)
+        def spy(n, sample_bytes):
+            groups.append((sample_bytes, len(real(n, sample_bytes))))
+            return real(n, sample_bytes)
 
         monkeypatch.setattr(ops, "_sample_groups", spy)
         train_step(spec, params, clips, labels, state, "mse")
-        split = [(kernel, count) for kernel, count in groups if count > 1]
-        # the stem's forward, and its weight gradient's gather of x
-        assert split == [((7, 7, 7), 8)] * 2
+        split = [(size, count) for size, count in groups if count > 1]
+        # the stem's forward, and its weight gradient's gather of x: 3x7x7
+        # float32 window rows over 8 + 6 padded frames at 16x16 positions
+        assert split == [(3 * 7 * 7 * 14 * 16 * 16 * 4, 8)] * 2
         assert len(groups) > 100
 
 
