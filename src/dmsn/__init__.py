@@ -6,7 +6,7 @@ parameter/FLOP cost model, optimizers and schedules for clip regression, and
 a synthetic-video pipeline for desk-scale runs.
 """
 
-from .blocks import BlockSpec, block_backward, block_forward, build_block
+from .blocks import BlockSpec, block_backward, block_forward
 from .complexity import CostReport, count_flops, count_params, emit_cost_table
 from .gradsuite import GradCheckReport, grad_check
 from .model import (ModelConfig, ModelSpec, build_model, init_params,
@@ -27,7 +27,7 @@ __all__ = [
     "GradCheckReport", "MacCounter", "ModelConfig", "ModelSpec",
     "OptimizerState", "Schedule", "SynthConfig", "TrainConfig", "TrainHistory",
     "VideoRecord", "adam_step", "aggregate_video_score", "bdi_severity_band",
-    "block_backward", "block_forward", "build_block", "build_model",
+    "block_backward", "block_forward", "build_model",
     "clip_label", "count_flops", "count_params", "emit_cost_table",
     "grad_check", "init_params", "load_checkpoint", "load_manifest",
     "loso_splits", "lr_at", "mae_loss", "metric_mae", "metric_mse",

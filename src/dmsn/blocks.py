@@ -20,7 +20,7 @@ one format; one forward walk and one reverse walk run both.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,31 +45,36 @@ class ParamLookupError(KeyError):
     """A layer id has no entry in the parameter bundle."""
 
 
-def hash_once(spec) -> int:
-    """``__hash__`` for a frozen spec: the generated field hash, computed on
-    the first call and kept, since the plan caches hash on every lookup."""
-    value = spec.__dict__.get("_hash")
-    if value is None:
-        value = hash(tuple(getattr(spec, f.name) for f in fields(spec)))
-        object.__setattr__(spec, "_hash", value)
-    return value
-
-
 @dataclass(frozen=True)
 class BlockSpec:
+    """A block's five design values; ``block_graph`` derives every conv."""
+
     variant: str
     in_channels: int
     out_channels: int
-    mid_channels: int
     spatial_stride: int
     branch_count: int
-    reduce: ConvLayerSpec
-    main_stage: tuple[ConvLayerSpec, ...]
-    branches: tuple[tuple[int, ConvLayerSpec], ...]  # (1-based tap, conv)
-    fusion: ConvLayerSpec
-    shortcut: ConvLayerSpec | None  # None = identity
 
-    __hash__ = hash_once
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise BlockConfigError(f"unknown variant {self.variant!r}; "
+                                   f"expected one of {VARIANTS}")
+        if self.branch_count not in BRANCH_COUNTS:
+            raise BlockConfigError(f"branch_count must be {BRANCH_COUNTS[0]}.."
+                                   f"{BRANCH_COUNTS[-1]}, got {self.branch_count}")
+        if self.spatial_stride not in (1, 2):
+            raise BlockConfigError(f"spatial_stride must be 1 or 2, got "
+                                   f"{self.spatial_stride}")
+        if self.out_channels % 2:
+            raise BlockConfigError(f"out_channels {self.out_channels} not "
+                                   f"divisible by 2 (mid width)")
+        mid = self.out_channels // 2
+        if mid % 2:
+            raise BlockConfigError(
+                f"mid channels {mid} not divisible by 2 (main-stage width)")
+        if mid < self.branch_count:
+            raise BlockConfigError(
+                f"mid channels {mid} cannot feed {self.branch_count} branches")
 
 
 def main_kind(variant: str, position: int) -> str:
@@ -90,63 +95,9 @@ def branch_kind(variant: str, tap: int) -> str:
     return TEMPORAL if tap % 2 == 1 else SPATIAL
 
 
-def _conv_for(kind: str, in_c: int, out_c: int) -> ConvLayerSpec:
-    if kind == TEMPORAL:
-        return ConvLayerSpec(in_c, out_c, (3, 1, 1), (1, 1, 1), (1, 0, 0))
-    return ConvLayerSpec(in_c, out_c, (1, 3, 3), (1, 1, 1), (0, 1, 1))
-
-
-def _split_widths(total: int, parts: int) -> tuple[int, ...]:
-    base, rem = divmod(total, parts)
-    return tuple(base + (1 if j < rem else 0) for j in range(parts))
-
-
-def build_block(variant: str, in_channels: int, out_channels: int,
-                spatial_stride: int, branch_count: int) -> BlockSpec:
-    """Construct a block spec for one variant.
-
-    ``mid_channels = out_channels / 2``; the first Main Stage conv halves that,
-    branch widths split ``mid_channels`` evenly across the branches (near-even
-    when the count does not divide, so the concat width stays ``mid_channels``).
-    """
-    if variant not in VARIANTS:
-        raise BlockConfigError(f"unknown variant {variant!r}; expected one of "
-                               f"{VARIANTS}")
-    if branch_count not in BRANCH_COUNTS:
-        raise BlockConfigError(f"branch_count must be {BRANCH_COUNTS[0]}.."
-                               f"{BRANCH_COUNTS[-1]}, got {branch_count}")
-    if spatial_stride not in (1, 2):
-        raise BlockConfigError(f"spatial_stride must be 1 or 2, got {spatial_stride}")
-    if out_channels % 2:
-        raise BlockConfigError(
-            f"out_channels {out_channels} not divisible by 2 (mid width)")
-    mid = out_channels // 2
-    if mid % 2:
-        raise BlockConfigError(
-            f"mid channels {mid} not divisible by 2 (main-stage width)")
-    if mid < branch_count:
-        raise BlockConfigError(
-            f"mid channels {mid} cannot feed {branch_count} branches")
-    half = mid // 2
-    reduce = ConvLayerSpec(in_channels, mid, (1, 1, 1),
-                           (1, spatial_stride, spatial_stride), (0, 0, 0))
-    main = []
-    for i in range(1, branch_count + 1):
-        in_c = mid if i == 1 else half
-        main.append(_conv_for(main_kind(variant, i), in_c, half))
-    widths = _split_widths(mid, branch_count)
-    branches = tuple(
-        (j, _conv_for(branch_kind(variant, j), half, widths[j - 1]))
-        for j in range(1, branch_count + 1))
-    fusion = ConvLayerSpec(mid, out_channels, (1, 1, 1))
-    if in_channels != out_channels or spatial_stride != 1:
-        shortcut = ConvLayerSpec(in_channels, out_channels, (1, 1, 1),
-                                 (1, spatial_stride, spatial_stride), (0, 0, 0))
-    else:
-        shortcut = None
-    return BlockSpec(variant, in_channels, out_channels, mid, spatial_stride,
-                     branch_count, reduce, tuple(main), branches, fusion,
-                     shortcut)
+# (kernel, padding) of each kind of block conv
+_GEOMETRY = {"pointwise": ((1, 1, 1), (0, 0, 0)),
+             TEMPORAL: ((3, 1, 1), (1, 0, 0)), SPATIAL: ((1, 3, 3), (0, 1, 1))}
 
 
 @dataclass
@@ -168,15 +119,21 @@ UNIT_OPS = (CONV_BN_RELU, CONV_BN)
 @functools.lru_cache(maxsize=256)
 def block_graph(spec: BlockSpec, prefix: str = "", x_shape=None) -> tuple:
     """A block's steps in execution order as ``(name, op, layer, sources,
-    out_shape)``, the format the walks run.
+    out_shape)``, the format the walks run; the one place a block's convs
+    are made.
 
     ``sources`` names what a step reads: ``INPUT`` or earlier steps, several
-    of which are concatenated along channels in that order.  A conv unit's
-    layer is its ConvLayerSpec; the fusion conv and the projection are not
-    rectified.  The last step, ``{prefix}sum``, adds the fusion output and
-    the shortcut (the block input, or ``proj``) and rectifies the sum.
-    ``out_shape`` is the step's output shape for block input ``x_shape``, or
-    None when no shape is given; a bad shape is rejected here, once.
+    of which are concatenated along channels in that order, and a conv
+    unit's input width is their summed widths.  ``reduce`` maps the input to
+    ``mid = out_channels / 2`` channels, each Main Stage conv outputs
+    ``mid / 2``, branch j reads ``main{j}`` and the branch widths split
+    ``mid`` near-evenly, so ``fuse`` reads ``mid``.  The spatial stride
+    lives in ``reduce`` and the projection ``proj``, which exists when the
+    block changes width or extent; neither it nor ``fuse`` is rectified.
+    The last step, ``{prefix}sum``, adds the fusion output and the shortcut
+    (``INPUT``, or ``proj``) and rectifies the sum.  ``out_shape`` is the
+    step's output shape for block input ``x_shape``, or None when no shape
+    is given; a bad shape is rejected here, once.
     """
     if x_shape is not None and (len(x_shape) != 5 or min(x_shape) < 1
                                 or x_shape[1] != spec.in_channels):
@@ -184,32 +141,54 @@ def block_graph(spec: BlockSpec, prefix: str = "", x_shape=None) -> tuple:
                          f"{x_shape} is not 5-d (n, c, t, h, w) with "
                          f"{spec.in_channels} channels and no empty extent")
     steps, shapes = [], {INPUT: x_shape}
+    widths = {INPUT: spec.in_channels}
+    mid, stride = spec.out_channels // 2, spec.spatial_stride
 
-    def add(name, op, conv, *sources):
+    def unit(name, op, sources, kind, out_c, s):
+        kernel, padding = _GEOMETRY[kind]
+        conv = ConvLayerSpec(sum(widths[src] for src in sources), out_c,
+                             kernel, (1, s, s), padding)
         out = shapes[sources[0]]
-        if conv is not None and out is not None:
+        if out is not None:
             out = conv_output_shape(out, conv)  # reads no input channels
-        shapes[name] = out
+        name = prefix + name
+        shapes[name], widths[name] = out, out_c
         steps.append((name, op, conv, sources, out))
         return name
 
-    tapped = [add(f"{prefix}reduce", CONV_BN_RELU, spec.reduce, INPUT)]
-    for i, conv in enumerate(spec.main_stage, start=1):
-        tapped.append(add(f"{prefix}main{i}", CONV_BN_RELU, conv, tapped[-1]))
-    branches = [add(f"{prefix}branch{j}", CONV_BN_RELU, conv, tapped[tap])
-                for j, (tap, conv) in enumerate(spec.branches, start=1)]
-    fuse = add(f"{prefix}fuse", CONV_BN, spec.fusion, *branches)
-    shortcut = INPUT if spec.shortcut is None else add(
-        f"{prefix}proj", CONV_BN, spec.shortcut, INPUT)
-    add(f"{prefix}sum", ADD_RELU, None, fuse, shortcut)
+    tapped = [unit("reduce", CONV_BN_RELU, (INPUT,), "pointwise", mid, stride)]
+    for i in range(1, spec.branch_count + 1):
+        tapped.append(unit(f"main{i}", CONV_BN_RELU, (tapped[-1],),
+                           main_kind(spec.variant, i), mid // 2, 1))
+    # near-even widths: the first ``mid % branch_count`` branches are wider
+    base, wider = divmod(mid, spec.branch_count)
+    branches = tuple(
+        unit(f"branch{j}", CONV_BN_RELU, (tapped[j],),
+             branch_kind(spec.variant, j), base + (j <= wider), 1)
+        for j in range(1, spec.branch_count + 1))
+    fuse = unit("fuse", CONV_BN, branches, "pointwise", spec.out_channels, 1)
+    shortcut = INPUT
+    if spec.in_channels != spec.out_channels or stride != 1:
+        shortcut = unit("proj", CONV_BN, (INPUT,), "pointwise",
+                        spec.out_channels, stride)
+    steps.append((f"{prefix}sum", ADD_RELU, None, (fuse, shortcut),
+                  shapes[fuse]))
     return tuple(steps)
 
 
 def unit_param_shapes(steps) -> dict[str, tuple]:
-    """Shape of every bundle entry the conv units among ``steps`` read."""
-    return {f"{name}.{key}": conv.weight_shape if key == "w"
-            else (conv.out_channels,) for name, op, conv, _, _ in steps
-            if op in UNIT_OPS for key in ("w", "scale", "shift", "mean", "var")}
+    """Shape of every bundle entry the conv units and the head among
+    ``steps`` read, in step order; a head step's layer is its fc weight
+    shape."""
+    shapes = {}
+    for name, op, layer, _, _ in steps:
+        if op == "head":
+            shapes |= {f"{name}.fc.w": layer, f"{name}.fc.b": (1,)}
+        elif op in UNIT_OPS:
+            shapes |= {f"{name}.{key}": layer.weight_shape if key == "w"
+                       else (layer.out_channels,)
+                       for key in ("w", "scale", "shift", "mean", "var")}
+    return shapes
 
 
 def _param(params, key):
@@ -299,7 +278,7 @@ def _walk_forward(graph, params, x: np.ndarray, state: RunState):
 
 
 def _walk_back(graph, params, cache, start: str, grad: np.ndarray,
-               need_input_grad: bool = True):
+               need_input_grad: bool):
     """The one reverse walk, for the model and every block: backward from
     step ``start`` seeded with ``grad``, summing the gradients that reach
     each source; returns ``(grad_x, grads)`` and removes each cache entry it
@@ -352,7 +331,7 @@ def block_backward(spec: BlockSpec, params, cache, grad_y: np.ndarray,
     """Gradients through one block; returns ``(grad_x, grads)``.  Consumes
     the block's entries of ``cache``."""
     return _walk_back(block_graph(spec, prefix), params, cache,
-                      f"{prefix}sum", grad_y)
+                      f"{prefix}sum", grad_y, True)
 
 
 def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
@@ -370,20 +349,21 @@ def branch_input_gradient(spec: BlockSpec, params, x: np.ndarray, tap: int):
     out = state.cache[name][2]  # the branch output
     grad = np.zeros_like(out)
     grad[:, :, out.shape[2] // 2, out.shape[3] // 2, out.shape[4] // 2] = 1.0
-    return _walk_back(block_graph(spec), params, state.cache, name, grad)[0]
+    return _walk_back(block_graph(spec), params, state.cache, name, grad,
+                      True)[0]
 
 
 def describe_block(spec: BlockSpec, prefix: str) -> list[str]:
     """Human-readable per-layer listing: ids, kernel/stride/padding, channels."""
     lines = []
-    *units, join = block_graph(spec, prefix)
+    *units, (join, _, _, (_, shortcut), _) = block_graph(spec, prefix)
     for name, op, conv, _, _ in units:
         kt, kh, kw = conv.kernel
         lines.append(f"{name:<24} {kt}x{kh}x{kw} s{conv.stride} p{conv.padding} "
                      f"{conv.in_channels}->{conv.out_channels} "
                      f"{op.removeprefix('conv')}")
-    if spec.shortcut is None:
+    if shortcut == INPUT:
         lines.append(f"{prefix + 'shortcut':<24} identity")
-    lines.append(f"{join[0]:<24} add shortcut, relu "
+    lines.append(f"{join:<24} add shortcut, relu "
                  f"-> {spec.out_channels} channels")
     return lines

@@ -206,7 +206,7 @@ def cmd_describe(values: dict) -> int:
     lines = [f"model {config.model_kind}  frames {config.clip_len}  "
              f"input {config.input_size[0]}x{config.input_size[1]}  "
              f"branches {config.branch_count}  width {config.width_multiplier}"]
-    conv1, pool, *blocks, _ = model_plan(spec)
+    conv1, pool, *blocks, head = model_plan(spec)
     stem = conv1[2]
     kernel, stride, padding = pool[2]
     # a cubic pool prints each geometry triple as one number
@@ -225,7 +225,7 @@ def cmd_describe(values: dict) -> int:
                      f"s{block.spatial_stride}  {t}x{h}x{w}")
         if values["detail"]:
             lines.extend("  " + line for line in describe_block(block, prefix))
-    lines.append(f"head       spatial-avgpool, fc {spec.head_channels}->1, "
+    lines.append(f"head       spatial-avgpool, fc {head[2][1]}->1, "
                  f"temporal-avgpool  scalar")
     _emit("\n".join(lines) + "\n", values["out"])
     return 0
@@ -330,8 +330,10 @@ def _metric_rows(scores: np.ndarray, labels: np.ndarray, dataset, values: dict):
 def cmd_eval(values: dict) -> int:
     if values["data"] is None or values["checkpoint"] is None:
         raise UsageError("eval needs --data <manifest> and --checkpoint <file>")
-    spec, params = load_checkpoint(values["checkpoint"])
     dataset = load_manifest(values["data"])
+    if not dataset.clips:
+        raise CliError(f"manifest {values['data']} holds no clips")
+    spec, params = load_checkpoint(values["checkpoint"])
     scores = predict_scores(spec, params, dataset.clip_arrays(),
                             batch_size=values["batch_size"])
     labels = dataset.labels()

@@ -15,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .blocks import (RunState, block_backward, block_forward, block_graph,
-                     build_block, unit_param_shapes)
+from .blocks import (BlockSpec, RunState, block_backward, block_forward,
+                     block_graph, unit_param_shapes)
 from .model import (ModelConfig, backward_from_cache, build_model,
                     forward_with_state, init_bundle, init_params)
 from .ops import (ConvLayerSpec, avgpool_spatial, avgpool_spatial_backward,
@@ -215,7 +215,7 @@ def check_avgpool(seed) -> GradCheckReport:
 
 
 def check_block(variant: str, seed) -> GradCheckReport:
-    block = build_block(variant, 8, 16, spatial_stride=1, branch_count=4)
+    block = BlockSpec(variant, 8, 16, spatial_stride=1, branch_count=4)
     params = init_bundle(unit_param_shapes(block_graph(block)), seed)
 
     def draw(rng):

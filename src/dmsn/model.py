@@ -15,7 +15,7 @@ import mmap
 import os
 import secrets
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import tensorfile
 from .blocks import (BRANCH_COUNTS, CONV_BN_RELU, INPUT, BlockConfigError,
                      BlockSpec, RunState, _walk_back, _walk_forward,
-                     block_graph, build_block, hash_once, unit_param_shapes)
+                     block_graph, unit_param_shapes)
 from .ops import (POOL_GEOMETRY, ConvLayerSpec, ShapeError, conv_output_shape,
                   window_output_shape)
 
@@ -83,12 +83,21 @@ class ModelConfig:
         return int(channels * self.width_multiplier)
 
 
+def hash_once(spec) -> int:
+    """``__hash__`` for a frozen spec: the generated field hash, computed on
+    the first call and kept, since the plan caches hash on every lookup."""
+    value = spec.__dict__.get("_hash")
+    if value is None:
+        value = hash(tuple(getattr(spec, f.name) for f in fields(spec)))
+        object.__setattr__(spec, "_hash", value)
+    return value
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     config: ModelConfig
     conv1: ConvLayerSpec
     stages: tuple[tuple[str, tuple[BlockSpec, ...]], ...]
-    head_channels: int
 
     __hash__ = hash_once
 
@@ -109,11 +118,11 @@ def build_model(config: ModelConfig) -> ModelSpec:
         blocks = []
         for i, variant in enumerate(_stage_variants(config.model_kind, pattern)):
             stride = 2 if (i == 0 and name != "res2") else 1
-            blocks.append(build_block(variant, in_ch, out_ch, stride,
-                                      config.branch_count))
+            blocks.append(BlockSpec(variant, in_ch, out_ch, stride,
+                                    config.branch_count))
             in_ch = out_ch
         stages.append((name, tuple(blocks)))
-    return ModelSpec(config, conv1, tuple(stages), in_ch)
+    return ModelSpec(config, conv1, tuple(stages))
 
 
 def expected_clip_shape(spec: ModelSpec, batch: int):
@@ -125,8 +134,8 @@ def model_plan(spec: ModelSpec, input_shape=None) -> tuple:
     """The model's steps in ``blocks.block_graph``'s format: ``conv1``, a
     rectified conv unit; ``pool`` (op ``maxpool``, layer
     ``ops.POOL_GEOMETRY``); one ``block`` step per block under its parameter
-    prefix, layer its BlockSpec; ``head`` (layer None), one score per clip.
-    Each step reads the one before it.
+    prefix, layer its BlockSpec; ``head``, one score per clip, layer its fc
+    weight shape ``(1, c)``.  Each step reads the one before it.
 
     ``input_shape`` defaults to one clip of the configured geometry; any other
     than ``(n, 3, clip_len, h, w)`` in whole numbers, ``n >= 1``, raises
@@ -152,7 +161,7 @@ def _model_plan(spec: ModelSpec, shape: tuple) -> tuple:
             prefix = f"{stage_name}.{i}."
             out = block_graph(block, prefix, out)[-1][4]
             plan.append((prefix, "block", block, (plan[-1][0],), out))
-    plan.append(("head", "head", None, (plan[-1][0],), out[:1]))
+    plan.append(("head", "head", (1, out[1]), (plan[-1][0],), out[:1]))
     return tuple(plan)
 
 
@@ -169,8 +178,7 @@ def model_steps(spec: ModelSpec, input_shape) -> tuple:
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple]:
     """Declared shape of every bundle entry, in canonical order."""
-    return {**unit_param_shapes(model_steps(spec, None)),
-            "head.fc.w": (1, spec.head_channels), "head.fc.b": (1,)}
+    return unit_param_shapes(model_steps(spec, None))
 
 
 def _draw(rng: np.random.Generator, name: str, shape: tuple) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensorfile
+from .model import ConfigError
 
 PSPI_TO_ORDINAL = (0, 1, 2, 3, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5)
 
@@ -218,22 +219,22 @@ class SynthConfig:
     def __post_init__(self):
         for name in ("clip_count", "clip_len", "height", "width", "subjects"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got "
-                                 f"{getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 1, got "
+                                  f"{getattr(self, name)}")
         for name in ("label_min", "label_max", "step_per_unit"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got "
-                                 f"{getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if self.label_min < 0:
-            raise ValueError(f"label_min must be >= 0 (the motion encodes "
-                             f"a label's magnitude only), got {self.label_min}")
+            raise ConfigError(f"label_min must be >= 0 (the motion encodes "
+                              f"a label's magnitude only), got {self.label_min}")
         if self.label_max < self.label_min:
-            raise ValueError("label_max must be >= label_min")
+            raise ConfigError("label_max must be >= label_min")
         diameter = 2.0 * _synth_radius(self)
         if abs(self.step_per_unit) * self.label_max > diameter:
-            raise ValueError(f"step_per_unit * label_max must be at most the "
-                             f"circle's diameter {diameter:g} px, got "
-                             f"{self.step_per_unit} * {self.label_max}")
+            raise ConfigError(f"step_per_unit * label_max must be at most the "
+                              f"circle's diameter {diameter:g} px, got "
+                              f"{self.step_per_unit} * {self.label_max}")
 
 
 def _synth_radius(cfg: SynthConfig) -> float:

@@ -9,8 +9,8 @@ from typing import Callable
 import numpy as np
 
 from .blocks import RunState
-from .model import (ModelConfig, ModelSpec, backward_from_cache, build_model,
-                    check_name, forward_with_state, init_params,
+from .model import (ConfigError, ModelConfig, ModelSpec, backward_from_cache,
+                    build_model, check_name, forward_with_state, init_params,
                     model_forward)
 
 
@@ -236,7 +236,7 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "max_steps"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+                raise ConfigError(f"{name} must be at least 1, got {value}")
 
     def resolved_epochs(self) -> int:
         return self.epochs or SCHEDULES[self.schedule].default_epochs

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dmsn.blocks import RunState, unit_backward, unit_forward
+from dmsn.blocks import RunState, block_graph, unit_backward, unit_forward
 from dmsn.ops import (POOL_GEOMETRY, ConvLayerSpec, conv_output_shape,
                       window_output_shape)
 from dmsn.pipeline import BUMP_SIGMA, VideoRecord, _synth_radius
@@ -94,13 +94,12 @@ def branch_chain_gradient(spec, params, x, tap):
 
     Runs only the units on the chain ``reduce -> main1..main{tap} ->
     branch{tap}``, one by one in eval mode, seeds a one-hot at the output
-    center and backpropagates unit by unit in reverse; no block graph.
+    center and backpropagates unit by unit in reverse.  The convs come from
+    ``block_graph``; its wiring and the walks are not used.
     """
-    branch_tap, branch = spec.branches[tap - 1]
-    chain = [("reduce", spec.reduce)]
-    chain += [(f"main{i}", conv) for i, conv
-              in enumerate(spec.main_stage[:branch_tap], start=1)]
-    chain.append((f"branch{tap}", branch))
+    convs = {name: conv for name, _, conv, _, _ in block_graph(spec)}
+    names = ["reduce", *(f"main{i}" for i in range(1, tap + 1)), f"branch{tap}"]
+    chain = [(name, convs[name]) for name in names]
     state = RunState(mode="eval", cache={})
     out = x
     for name, conv in chain:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from dmsn import cli
-from dmsn.blocks import RunState, branch_input_gradient, build_block
+from dmsn.blocks import BlockSpec, RunState, branch_input_gradient
 from dmsn.complexity import count_flops, count_params
 from dmsn.gradsuite import run_gradient_suites
 from dmsn.model import (ModelConfig, build_model, forward_with_state,
@@ -133,7 +133,7 @@ def test_a6_gradient_suite():
 def test_a7_receptive_field_impulses():
     results = []
     for variant, axis_pack in (("A", (0, 1, 3, 4)), ("C", (0, 1, 2, 3))):
-        block = build_block(variant, 8, 16, 1, branch_count=4)
+        block = BlockSpec(variant, 8, 16, 1, branch_count=4)
         params = init_bundle(unit_param_shapes(block_graph(block)), seed=21)
         for name in params:
             if name.endswith(".w"):

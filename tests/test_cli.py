@@ -339,7 +339,7 @@ class TestSynthTrainEval:
                                                   value, field):
         out = tmp_path / "data"
         code, stdout, err = run(capsys, "synth", flag, value, "--out", str(out))
-        assert code == 1 and stdout == ""
+        assert code == 2 and stdout == ""
         assert err == f"error: {field} must be finite, got {value}\n"
         assert not out.exists()
 
@@ -347,8 +347,23 @@ class TestSynthTrainEval:
         out = tmp_path / "data"
         code, stdout, err = run(capsys, "synth", "--label-min", "-3",
                                 "--out", str(out))
-        assert code == 1 and stdout == ""
+        assert code == 2 and stdout == ""
         assert err.startswith("error: label_min must be >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--label-min", "5", "--label-max", "4"],
+         "label_max must be >= label_min"),
+        (["--speed", "1e9"], "step_per_unit * label_max must be at most the "
+                             "circle's diameter 12.8 px, got 1000000000.0 * 4.0")],
+        ids=["label-order", "speed-1e9"])
+    def test_synth_bad_value_is_config_error(self, tmp_path, capsys, argv,
+                                             message):
+        # exit 2, as an unbuildable model value (describe --size 0) is; a
+        # non-finite one (--speed nan) is checked above
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "synth", *argv, "--out", str(out))
+        assert code == 2 and stdout == "" and err == f"error: {message}\n"
         assert not out.exists()
 
     def test_synth_writes_generator_config(self, workspace):
@@ -391,6 +406,18 @@ class TestSynthTrainEval:
                            str(tmp_path / "other/manifest.tsv"),
                            "--checkpoint", str(workspace / "model.ckpt"))
         assert code == 1 and "shape" in err
+
+    def test_eval_rejects_manifest_without_clips(self, workspace, tmp_path,
+                                                 capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("")
+        out = tmp_path / "metrics.txt"
+        code, stdout, err = run(capsys, "eval", "--data", str(manifest),
+                                "--checkpoint", str(workspace / "model.ckpt"),
+                                "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: manifest {manifest} holds no clips\n"
+        assert not out.exists()
 
     def test_train_requires_data_and_out(self, capsys):
         code, _, err = run(capsys, "train", "--out", "/tmp/x.ckpt")

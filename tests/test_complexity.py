@@ -12,7 +12,7 @@ from dmsn.blocks import RunState
 from dmsn.cli import main
 from dmsn.complexity import count_flops, count_params, emit_cost_table
 from dmsn.model import (ModelConfig, build_model, forward_with_state,
-                        init_params, param_shapes)
+                        init_params, model_plan, param_shapes)
 from dmsn.ops import MacCounter, ShapeError
 
 
@@ -54,8 +54,9 @@ class TestCountParams:
                            if name.endswith(".w") and name != "head.fc.w")
         norm_total = sum(size for name, size in sizes.items()
                          if name.endswith((".scale", ".shift")))
+        _, _, (_, head_channels), _, _ = model_plan(spec)[-1]  # fc (1, c)
         assert report.total_params == weight_total + norm_total \
-            + spec.head_channels + 1
+            + head_channels + 1
 
 
 class TestCountFlops:

@@ -137,7 +137,7 @@ def test_settable_value_count():
              for path in pathlib.Path(dmsn.__file__).parent.glob("*.py")]
     flags = sum(len(opts) + len(cli.GLOBAL_OPTS)
                 for _, opts in cli.SUBCOMMANDS.values())
-    assert sum(map(_settable_values, trees)) + flags == 114
+    assert sum(map(_settable_values, trees)) + flags == 113
 
 
 def test_the_count_sees_defaults_and_init_fields():
